@@ -34,4 +34,4 @@ for response in (
 
 print("\nstars mode accepts glyphs, fractions, and bare integers:")
 for response in ("★★★★", "4/5", "I give it 4 stars"):
-    print(f"  {response!r} -> {parse_stars(response).value} stars")
+    print(f"  {response!r} -> {parse_stars(response).stars} stars")

@@ -21,11 +21,10 @@ import tempfile
 import threading
 import time
 import unicodedata
+# perfbench/tracing.py replaces kpe.backend.ThreadPoolExecutor to time pool tasks.
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import requests
 
 from .corpus import EvalDataset
 from .errors import (
@@ -39,8 +38,7 @@ from .errors import (
 )
 from .parsing import category_to_ordinal
 from .prompting import (
-    ANSWER_PLACEHOLDERS,
-    COMBINE_STEP_TEMPLATES,
+    ESTIMATORS,
     RenderedPrompt,
     TemplateRegistry,
     builtin_templates,
@@ -69,11 +67,15 @@ class CompletionResult:
 
 @dataclass(frozen=True)
 class CompletionFailure:
-    """Per-item error captured by run_batch instead of raising."""
+    """Per-item error captured by run_batch instead of raising.
+
+    exception is the provider's error itself, so a caller can re-raise it.
+    """
 
     error_kind: str
     message: str
     request_digest: str
+    exception: KpeError | None = field(default=None, compare=False, repr=False)
 
 
 # digests -------------------------------------------------------------------
@@ -268,7 +270,8 @@ class HttpProvider:
     Retries transport failures, 408, 429 and 5xx up to max_attempts with
     delays retry_base_s * 2**attempt. 401/403 raise AuthError immediately;
     other 4xx raise ProviderError. The session and sleep function are
-    injectable for tests.
+    injectable for tests. requests is imported here, not at module load,
+    so only runs that use this provider pay for it.
     """
 
     def __init__(
@@ -281,6 +284,8 @@ class HttpProvider:
         max_attempts: int = 5,
         timeout_s: float = 60.0,
     ) -> None:
+        import requests
+
         self.endpoint_url = endpoint_url
         self.api_key = api_key
         self.session = session if session is not None else requests.Session()
@@ -294,6 +299,8 @@ class HttpProvider:
         self.attempts = 0
 
     def complete(self, prompt: RenderedPrompt, params: GenParams) -> str:
+        import requests
+
         with self._lock:
             self.calls += 1
         payload = {
@@ -491,8 +498,10 @@ class MockProvider:
             self.calls += 1
         if prompt.template_id == "kpe_token_align":
             return self._align_response(prompt)
-        if prompt.template_id in COMBINE_STEP_TEMPLATES:
-            return self._combine_response(prompt)
+        for chain in ESTIMATORS.values():
+            for mode, template_id in chain.templates.items():
+                if chain.steps and template_id == prompt.template_id:
+                    return self._combine_response(prompt, chain.steps, mode)
         return self._quality_response(prompt)
 
     def _align_response(self, prompt: RenderedPrompt) -> str:
@@ -511,13 +520,13 @@ class MockProvider:
             lines.append(", ".join(cells))
         return "\n".join(lines)
 
-    def _combine_response(self, prompt: RenderedPrompt) -> str:
+    def _combine_response(self, prompt: RenderedPrompt, steps: tuple[str, ...], mode: str) -> str:
         template = self.registry.get(prompt.template_id)
-        step_ids = COMBINE_STEP_TEMPLATES[prompt.template_id]
         indexes = []
-        for i, step_id in enumerate(step_ids):
-            answer = prompt.bindings[ANSWER_PLACEHOLDERS[i]]
-            indexes.append(category_to_ordinal(answer, self.registry.get(step_id).schema))
+        for step in steps:
+            spec = ESTIMATORS[step]
+            schema = self.registry.get(spec.templates[mode]).schema
+            indexes.append(category_to_ordinal(prompt.bindings[spec.answer], schema))
         final = int(sum(indexes) / len(indexes) + 0.5)  # round half up
         return f"Class: {template.schema.classes[final]}"
 
@@ -630,6 +639,7 @@ def run_batch(
                 error_kind=type(exc).__name__,
                 message=str(exc),
                 request_digest=digests[first_index],
+                exception=exc,
             )
 
     storm = False

@@ -9,13 +9,16 @@ Estimator names:
     cot1                prompt1 + prompt2, then a combining prompt
     cot2                prompt1 + prompt2 + prompt3, then a combining prompt
 
-Chains execute stage-synchronously over a dataset: every step-k prompt in
-the batch completes before any step-k+1 prompt is sent, so each stage is
-one run_batch call and identical prompts coalesce. Combiner prompts are
-bound to the parsed class labels of earlier steps (not raw responses).
-A provider failure on any step aborts that pair; a parse failure follows
-the step_failure policy ("abort_pair" or "substitute_middle", which binds
-the step schema's middle class and flags the step record).
+prompting.ESTIMATORS describes each one. All requested estimators are
+scored by one plan in two stages: every step prompt any estimator needs
+completes (one run_batch call) before any combiner prompt is sent (a
+second call), so a prompt that several estimators share is sent and
+parsed once. Combiner prompts are bound to the parsed class labels of
+earlier steps (not raw responses). A provider failure on any step aborts
+that pair; a parse failure follows the step_failure policy ("abort_pair"
+or "substitute_middle", which binds the step schema's middle class and
+flags the step record). A pair whose earlier step failed records no later
+steps.
 """
 
 from __future__ import annotations
@@ -24,19 +27,20 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# perfbench/tracing.py wraps run_batch, render_template and parse_categorical as
+# attributes of this module, so the plan must look them up here.
 from .backend import (
     CompletionFailure,
     CompletionResult,
     FileCache,
     GenParams,
-    cached_complete,
     run_batch,
 )
-from .corpus import EvalDataset, SystemOutput
+from .corpus import EvalDataset, Segment, SystemOutput
 from .errors import InputError, ParseError
 from .parsing import parse_categorical, parse_scalar, parse_stars
 from .prompting import (
-    ANSWER_PLACEHOLDERS,
+    ESTIMATORS,
     PromptTemplate,
     RenderedPrompt,
     TemplateRegistry,
@@ -44,40 +48,11 @@ from .prompting import (
     render_template,
 )
 
-ONE_STEP_KINDS = ("gemba", "prompt1_perplexity", "prompt2_token", "prompt3_sentence")
-COT_KINDS = ("cot1", "cot2")
+ONE_STEP_KINDS = tuple(name for name, spec in ESTIMATORS.items() if not spec.steps)
+COT_KINDS = tuple(name for name, spec in ESTIMATORS.items() if spec.steps)
 ESTIMATOR_NAMES = ONE_STEP_KINDS + COT_KINDS
 SCORING_MODES = ("cat5", "cat3", "stars", "scalar")
-
-_MODE_SUFFIX = {"cat5": "", "cat3": "_cat3", "stars": "_stars", "scalar": "_scalar"}
-
-_ONE_STEP_BASE = {
-    "gemba": "gemba",
-    "prompt1_perplexity": "kpe_perplexity",
-    "prompt2_token": "kpe_token_sim",
-    "prompt3_sentence": "kpe_sent_sim",
-}
-
-COT_STEP_KINDS = {
-    "cot1": ("prompt1_perplexity", "prompt2_token"),
-    "cot2": ("prompt1_perplexity", "prompt2_token", "prompt3_sentence"),
-}
-
-_COMBINER_BASE = {"cot1": "kpe_cot1_combine", "cot2": "kpe_cot2_combine"}
-
-
-def template_id_for(kind_name: str, mode: str) -> str:
-    """Resolve the template id for a one-step kind under a scoring mode."""
-    base = _ONE_STEP_BASE[kind_name]
-    if kind_name == "gemba" and mode == "cat5":
-        return "gemba_classify"
-    if kind_name == "gemba" and mode == "cat3":
-        return "gemba_classify_cat3"
-    return base + _MODE_SUFFIX[mode]
-
-
-def combiner_template_id(kind_name: str, mode: str) -> str:
-    return _COMBINER_BASE[kind_name] + _MODE_SUFFIX[mode]
+STEP_FAILURES = ("abort_pair", "substitute_middle")
 
 
 @dataclass(frozen=True)
@@ -92,15 +67,10 @@ class EstimatorKind:
             raise InputError(
                 f"unknown estimator {self.name!r}; known: {', '.join(ESTIMATOR_NAMES)}"
             )
-        if self.scoring_mode not in SCORING_MODES:
+        modes = ESTIMATORS[self.name].templates
+        if self.scoring_mode not in modes:
             raise InputError(
-                f"unknown scoring mode {self.scoring_mode!r}; "
-                f"known: {', '.join(SCORING_MODES)}"
-            )
-        if self.is_cot and self.scoring_mode not in ("cat5", "cat3"):
-            raise InputError(
-                f"{self.name} requires a categorical scoring mode, "
-                f"not {self.scoring_mode!r}"
+                f"{self.name} scores in {', '.join(modes)}, not {self.scoring_mode!r}"
             )
 
     @property
@@ -108,11 +78,19 @@ class EstimatorKind:
         return self.name in COT_KINDS
 
     @property
+    def template_id(self) -> str:
+        """The estimator's template in its mode; for a chain, the combiner."""
+        return ESTIMATORS[self.name].templates[self.scoring_mode]
+
+    @property
+    def steps(self) -> tuple["EstimatorKind", ...]:
+        """A chain's step estimators in stage order; empty for one-step kinds."""
+        return tuple(EstimatorKind(s, self.scoring_mode) for s in ESTIMATORS[self.name].steps)
+
+    @property
     def n_steps(self) -> int:
         """Prompt rounds per pair: 1 for one-step kinds, steps + combine for chains."""
-        if not self.is_cot:
-            return 1
-        return len(COT_STEP_KINDS[self.name]) + 1
+        return len(self.steps) + 1 if self.is_cot else 1
 
 
 @dataclass(frozen=True)
@@ -243,131 +221,183 @@ def load_score_file(path: str | Path) -> ScoreTable:
     )
 
 
-def _parse_response(text: str, template: PromptTemplate, mode: str):
-    """Returns (ordinal, class_string or None); raises ParseError subclasses."""
-    schema = template.schema
-    if mode in ("cat5", "cat3"):
-        cat = parse_categorical(text, schema)
-        return cat.index, cat.class_string
-    if mode == "stars":
-        star = parse_stars(text, int(schema.lo), int(schema.hi))
-        return star.stars, None
-    scalar = parse_scalar(text, schema.lo, schema.hi)
-    return scalar.value, None
+@dataclass(slots=True)
+class _Answer:
+    """One completed prompt, parsed once for every estimator that asked it."""
+
+    template: PromptTemplate
+    prompt: RenderedPrompt
+    outcome: CompletionResult | CompletionFailure
+    ordinal: int | float | None = None
+    class_string: str | None = None
+    parse_error: ParseError | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.outcome, CompletionFailure):
+            return
+        text, schema = self.outcome.text, self.template.schema
+        try:
+            if schema.kind == "categorical":
+                cat = parse_categorical(text, schema)
+                self.ordinal, self.class_string = cat.index, cat.class_string
+            elif schema.kind == "stars":
+                self.ordinal = parse_stars(text, int(schema.lo), int(schema.hi)).stars
+            else:
+                self.ordinal = parse_scalar(text, schema.lo, schema.hi).value
+        except ParseError as exc:
+            self.parse_error = exc
 
 
-def _one_step_bindings(kind_name: str, src_text: str, mt_text: str) -> dict[str, str]:
-    if kind_name == "prompt1_perplexity":
-        return {"target_seg": mt_text}
-    return {"source_seg": src_text, "target_seg": mt_text}
-
-
-def _failure_note(stage: str, kind: str, message: str) -> str:
-    return f"{stage}: {kind}: {message}"
-
-
+@dataclass(slots=True)
 class _PairState:
-    """Mutable per-(system, segment) progress through a chain."""
+    """One estimator's progress on one (system, segment) pair."""
 
-    __slots__ = ("output", "src_text", "steps", "answers", "error", "ordinal")
+    steps: list[StepRecord] = field(default_factory=list)
+    answers: dict[str, str] = field(default_factory=dict)  # combiner placeholder -> class
+    error: str | None = None
+    exc: Exception | None = None
+    ordinal: int | float | None = None
 
-    def __init__(self, output: SystemOutput, src_text: str) -> None:
-        self.output = output
-        self.src_text = src_text
-        self.steps: list[StepRecord] = []
-        self.answers: list[str] = []
-        self.error: str | None = None
-        self.ordinal: int | float | None = None
+    def fail(self, stage: str, exc: Exception) -> str:
+        self.exc = exc
+        self.error = f"{stage}: {type(exc).__name__}: {exc}"
+        return self.error
 
-    @property
-    def alive(self) -> bool:
-        return self.error is None
+    def take(self, answer: _Answer, stage: str, *, final: bool, step_failure: str,
+             placeholder: str | None = None) -> None:
+        """Record one round's answer under the step-failure policy."""
+        outcome = answer.outcome
+        record = dict(
+            template_id=answer.template.template_id,
+            version=answer.template.version,
+            digest=outcome.request_digest,
+            bindings=answer.prompt.bindings,
+        )
+        if isinstance(outcome, CompletionFailure):
+            error = f"{outcome.error_kind}: {outcome.message}"
+            self.steps.append(StepRecord(**record, error=error))
+            self.fail(stage, outcome.exception)
+            return
+        record["response_text"] = outcome.text
+        exc = answer.parse_error
+        if exc is None:
+            self.steps.append(StepRecord(
+                **record, parsed_ordinal=answer.ordinal, parsed_class=answer.class_string
+            ))
+            if final:
+                self.ordinal = answer.ordinal
+            else:
+                self.answers[placeholder] = answer.class_string
+        elif final or step_failure == "abort_pair":
+            self.steps.append(StepRecord(**record, error=self.fail(stage, exc)))
+        else:
+            middle = answer.template.schema.middle_class
+            note = f"{stage}: {type(exc).__name__}: {exc} (substituted middle class)"
+            self.steps.append(StepRecord(**record, parsed_class=middle, error=note))
+            self.answers[placeholder] = middle
 
 
-def _run_stage(
-    states: list[_PairState],
-    make_bindings,
-    template: PromptTemplate,
+def _ask(batch, provider, cache, params, max_in_flight) -> list[_Answer]:
+    """Complete a batch of (template, output, source text, step answers) in one run_batch.
+
+    Each template is bound to the pair's texts and answers it declares.
+    """
+    prompts = []
+    for template, output, src_text, answers in batch:
+        values = {"source_seg": src_text, "target_seg": output.mt_text, **answers}
+        bindings = {name: values[name] for name in template.placeholders if name in values}
+        prompts.append(render_template(template, bindings))
+    outcomes = run_batch(provider, cache, prompts, params, max_in_flight=max_in_flight)
+    return [
+        _Answer(item[0], prompt, outcome)
+        for item, prompt, outcome in zip(batch, prompts, outcomes)
+    ]
+
+
+def _run_plan(
+    kinds: list[EstimatorKind],
+    dataset: EvalDataset,
+    outputs: list[SystemOutput],
     provider,
     cache: FileCache | None,
-    params: GenParams,
-    max_in_flight: int,
-    mode: str,
     *,
-    is_final: bool,
-    step_failure: str,
-    stage_name: str,
-) -> None:
-    """Render, batch-complete and parse one stage for every live pair."""
-    live = [st for st in states if st.alive]
-    prompts: list[RenderedPrompt] = []
-    for st in live:
-        prompts.append(render_template(template, make_bindings(st)))
-    outcomes = run_batch(provider, cache, prompts, params, max_in_flight=max_in_flight)
-    for st, prompt, outcome in zip(live, prompts, outcomes):
-        if isinstance(outcome, CompletionFailure):
-            st.steps.append(
-                StepRecord(
-                    template_id=template.template_id,
-                    version=template.version,
-                    digest=outcome.request_digest,
-                    bindings=prompt.bindings,
-                    error=f"{outcome.error_kind}: {outcome.message}",
-                )
-            )
-            st.error = _failure_note(stage_name, outcome.error_kind, outcome.message)
+    params: GenParams,
+    max_in_flight: int = 4,
+    step_failure: str = "abort_pair",
+    registry: TemplateRegistry | None = None,
+) -> dict[str, list[_PairState]]:
+    """Score outputs with every estimator in two batches; states per estimator name."""
+    if step_failure not in STEP_FAILURES:
+        raise InputError(f"unknown step_failure policy {step_failure!r}")
+    if registry is None:
+        registry = builtin_templates()
+    sources = [dataset.get_segment(out.lp, out.seg_id).src_text for out in outputs]
+    states = {kind.name: [_PairState() for _ in outputs] for kind in kinds}
+    live = []
+    for i, output in enumerate(outputs):
+        if output.mt_text.strip():
+            live.append(i)
             continue
-        assert isinstance(outcome, CompletionResult)
-        try:
-            ordinal, class_string = _parse_response(outcome.text, template, mode)
-        except ParseError as exc:
-            note = _failure_note(stage_name, type(exc).__name__, str(exc))
-            if is_final or step_failure == "abort_pair":
-                st.steps.append(
-                    StepRecord(
-                        template_id=template.template_id,
-                        version=template.version,
-                        digest=outcome.request_digest,
-                        bindings=prompt.bindings,
-                        response_text=outcome.text,
-                        error=note,
-                    )
-                )
-                st.error = note
-            else:
-                middle = template.schema.middle_class
-                st.steps.append(
-                    StepRecord(
-                        template_id=template.template_id,
-                        version=template.version,
-                        digest=outcome.request_digest,
-                        bindings=prompt.bindings,
-                        response_text=outcome.text,
-                        parsed_class=middle,
-                        error=f"{note} (substituted middle class)",
-                    )
-                )
-                st.answers.append(middle)
-            continue
-        st.steps.append(
-            StepRecord(
-                template_id=template.template_id,
-                version=template.version,
-                digest=outcome.request_digest,
-                bindings=prompt.bindings,
-                response_text=outcome.text,
-                parsed_ordinal=ordinal,
-                parsed_class=class_string,
-            )
-        )
-        if is_final:
-            st.ordinal = ordinal
-        elif class_string is not None:
-            st.answers.append(class_string)
+        for by_pair in states.values():
+            by_pair[i].fail("input", InputError("empty mt_text"))
+
+    # Stage 1: every one-step template any estimator needs, once per live pair.
+    step_templates = {
+        step.template_id: registry.get(step.template_id)
+        for kind in kinds
+        for step in (kind.steps or (kind,))
+    }
+    keys = [(template_id, i) for template_id in step_templates for i in live]
+    answers = dict(zip(keys, _ask(
+        [(step_templates[tid], outputs[i], sources[i], {}) for tid, i in keys],
+        provider, cache, params, max_in_flight,
+    )))
+    for kind in kinds:
+        rounds = [
+            (step.template_id, f"step{n}:{step.template_id}", ESTIMATORS[step.name].answer)
+            for n, step in enumerate(kind.steps or (kind,), start=1)
+        ]
+        for i in live:
+            state = states[kind.name][i]
+            for template_id, stage, placeholder in rounds:
+                if state.error is not None:
+                    break  # a failed step ends the chain for this pair
+                state.take(answers[(template_id, i)], stage, final=not kind.is_cot,
+                           step_failure=step_failure, placeholder=placeholder)
+
+    # Stage 2: every chain's combiner, bound to its steps' parsed classes.
+    pending = [
+        (registry.get(kind.template_id), states[kind.name][i], i)
+        for kind in kinds
+        if kind.is_cot
+        for i in live
+        if states[kind.name][i].error is None
+    ]
+    combined = _ask(
+        [(template, outputs[i], sources[i], state.answers) for template, state, i in pending],
+        provider, cache, params, max_in_flight,
+    )
+    for (template, state, _), answer in zip(pending, combined):
+        state.take(answer, f"combine:{template.template_id}", final=True,
+                   step_failure=step_failure)
+    return states
 
 
-def score_dataset(
-    estimator: EstimatorKind,
+def _quality_score(kind: EstimatorKind, output: SystemOutput, state: _PairState) -> QualityScore:
+    return QualityScore(
+        lp=output.lp,
+        system_id=output.system_id,
+        seg_id=output.seg_id,
+        estimator=kind.name,
+        mode=kind.scoring_mode,
+        ordinal=state.ordinal,
+        error=state.error,
+        steps=tuple(state.steps),
+    )
+
+
+def score_estimators(
+    kinds: list[EstimatorKind],
     dataset: EvalDataset,
     provider,
     cache: FileCache | None,
@@ -376,202 +406,59 @@ def score_dataset(
     max_in_flight: int = 4,
     step_failure: str = "abort_pair",
     registry: TemplateRegistry | None = None,
-) -> ScoreTable:
+) -> dict[str, ScoreTable]:
+    """Score every system output with every estimator; one table per estimator name.
+
+    All step prompts go out in one batch and all combiner prompts in a
+    second, so a prompt that several estimators share is sent and parsed once.
+    """
+    kinds = list(dict.fromkeys(kinds))
+    if len({kind.name for kind in kinds}) != len(kinds):
+        raise InputError("each estimator may be requested in one scoring mode only")
+    outputs = sorted(dataset.outputs)
+    states = _run_plan(
+        kinds, dataset, outputs, provider, cache, params=params,
+        max_in_flight=max_in_flight, step_failure=step_failure, registry=registry,
+    )
+    return {
+        kind.name: ScoreTable(
+            estimator=kind,
+            model_id=params.model_id,
+            params=params,
+            scores={
+                (output.lp, output.system_id, output.seg_id): _quality_score(kind, output, state)
+                for output, state in zip(outputs, states[kind.name])
+            },
+        )
+        for kind in kinds
+    }
+
+
+def score_dataset(estimator: EstimatorKind, dataset: EvalDataset, provider,
+                  cache: FileCache | None, **kwargs) -> ScoreTable:
     """Score every system output in the dataset with one estimator."""
-    if step_failure not in ("abort_pair", "substitute_middle"):
-        raise InputError(f"unknown step_failure policy {step_failure!r}")
-    if registry is None:
-        registry = builtin_templates()
-    mode = estimator.scoring_mode
-
-    states: list[_PairState] = []
-    for output in sorted(dataset.outputs):
-        src_text = dataset.get_segment(output.lp, output.seg_id).src_text
-        state = _PairState(output, src_text)
-        if not output.mt_text.strip():
-            state.error = _failure_note("input", "InputError", "empty mt_text")
-        states.append(state)
-
-    if estimator.is_cot:
-        step_kinds = COT_STEP_KINDS[estimator.name]
-        for stage_no, step_kind in enumerate(step_kinds, start=1):
-            template = registry.get(template_id_for(step_kind, mode))
-            _run_stage(
-                states,
-                lambda st, k=step_kind: _one_step_bindings(k, st.src_text, st.output.mt_text),
-                template,
-                provider,
-                cache,
-                params,
-                max_in_flight,
-                mode,
-                is_final=False,
-                step_failure=step_failure,
-                stage_name=f"step{stage_no}:{template.template_id}",
-            )
-        combiner = registry.get(combiner_template_id(estimator.name, mode))
-
-        def combine_bindings(st: _PairState) -> dict[str, str]:
-            bindings = {
-                "source_seg": st.src_text,
-                "target_seg": st.output.mt_text,
-            }
-            for i, answer in enumerate(st.answers):
-                bindings[ANSWER_PLACEHOLDERS[i]] = answer
-            return bindings
-
-        _run_stage(
-            states,
-            combine_bindings,
-            combiner,
-            provider,
-            cache,
-            params,
-            max_in_flight,
-            mode,
-            is_final=True,
-            step_failure=step_failure,
-            stage_name=f"combine:{combiner.template_id}",
-        )
-    else:
-        template = registry.get(template_id_for(estimator.name, mode))
-        _run_stage(
-            states,
-            lambda st: _one_step_bindings(estimator.name, st.src_text, st.output.mt_text),
-            template,
-            provider,
-            cache,
-            params,
-            max_in_flight,
-            mode,
-            is_final=True,
-            step_failure=step_failure,
-            stage_name=f"step1:{template.template_id}",
-        )
-
-    table = ScoreTable(estimator=estimator, model_id=params.model_id, params=params)
-    for st in states:
-        out = st.output
-        table.scores[(out.lp, out.system_id, out.seg_id)] = QualityScore(
-            lp=out.lp,
-            system_id=out.system_id,
-            seg_id=out.seg_id,
-            estimator=estimator.name,
-            mode=mode,
-            ordinal=st.ordinal,
-            error=st.error,
-            steps=tuple(st.steps),
-        )
-    return table
+    return score_estimators([estimator], dataset, provider, cache, **kwargs)[estimator.name]
 
 
-def _estimate_single(
-    estimator: EstimatorKind,
+def _estimate_pair(
+    kind: EstimatorKind,
     src_text: str,
     mt_text: str,
     provider,
     cache: FileCache | None,
     *,
-    params: GenParams,
-    step_failure: str = "abort_pair",
-    registry: TemplateRegistry | None = None,
     lp: str = "",
     system_id: str = "",
     seg_id: str = "",
+    **kwargs,
 ) -> QualityScore:
-    """Sequential single-pair scoring, shared by the convenience entry points."""
-    if not mt_text.strip():
-        raise InputError("empty mt_text")
-    if registry is None:
-        registry = builtin_templates()
-    mode = estimator.scoring_mode
-    steps: list[StepRecord] = []
-    answers: list[str] = []
-
-    def run_one(template: PromptTemplate, bindings: dict[str, str], *, final: bool,
-                stage_name: str) -> int | float | None:
-        prompt = render_template(template, bindings)
-        result = cached_complete(provider, cache, prompt, params)
-        try:
-            ordinal, class_string = _parse_response(result.text, template, mode)
-        except ParseError as exc:
-            note = _failure_note(stage_name, type(exc).__name__, str(exc))
-            if final or step_failure == "abort_pair":
-                steps.append(
-                    StepRecord(
-                        template_id=template.template_id,
-                        version=template.version,
-                        digest=result.request_digest,
-                        bindings=prompt.bindings,
-                        response_text=result.text,
-                        error=note,
-                    )
-                )
-                raise
-            middle = template.schema.middle_class
-            steps.append(
-                StepRecord(
-                    template_id=template.template_id,
-                    version=template.version,
-                    digest=result.request_digest,
-                    bindings=prompt.bindings,
-                    response_text=result.text,
-                    parsed_class=middle,
-                    error=f"{note} (substituted middle class)",
-                )
-            )
-            answers.append(middle)
-            return None
-        steps.append(
-            StepRecord(
-                template_id=template.template_id,
-                version=template.version,
-                digest=result.request_digest,
-                bindings=prompt.bindings,
-                response_text=result.text,
-                parsed_ordinal=ordinal,
-                parsed_class=class_string,
-            )
-        )
-        if class_string is not None and not final:
-            answers.append(class_string)
-        return ordinal
-
-    if estimator.is_cot:
-        for i, step_kind in enumerate(COT_STEP_KINDS[estimator.name], start=1):
-            template = registry.get(template_id_for(step_kind, mode))
-            run_one(
-                template,
-                _one_step_bindings(step_kind, src_text, mt_text),
-                final=False,
-                stage_name=f"step{i}:{template.template_id}",
-            )
-        combiner = registry.get(combiner_template_id(estimator.name, mode))
-        bindings = {"source_seg": src_text, "target_seg": mt_text}
-        for i, answer in enumerate(answers):
-            bindings[ANSWER_PLACEHOLDERS[i]] = answer
-        ordinal = run_one(
-            combiner, bindings, final=True, stage_name=f"combine:{combiner.template_id}"
-        )
-    else:
-        template = registry.get(template_id_for(estimator.name, mode))
-        ordinal = run_one(
-            template,
-            _one_step_bindings(estimator.name, src_text, mt_text),
-            final=True,
-            stage_name=f"step1:{template.template_id}",
-        )
-
-    return QualityScore(
-        lp=lp,
-        system_id=system_id,
-        seg_id=seg_id,
-        estimator=estimator.name,
-        mode=mode,
-        ordinal=ordinal,
-        error=None,
-        steps=tuple(steps),
-    )
+    """Run the plan on a one-pair dataset and raise whatever failed the pair."""
+    output = SystemOutput(lp=lp, system_id=system_id, seg_id=seg_id, mt_text=mt_text)
+    dataset = EvalDataset.build([Segment(lp=lp, seg_id=seg_id, src_text=src_text)], [output], [])
+    state = _run_plan([kind], dataset, [output], provider, cache, **kwargs)[kind.name][0]
+    if state.exc is not None:
+        raise state.exc
+    return _quality_score(kind, output, state)
 
 
 def estimate_one_step(
@@ -580,7 +467,7 @@ def estimate_one_step(
     """Score one pair with a single-prompt estimator."""
     if kind.is_cot:
         raise InputError(f"{kind.name} is a chain; use estimate_cot1/estimate_cot2")
-    return _estimate_single(kind, src_text, mt_text, provider, cache, **kwargs)
+    return _estimate_pair(kind, src_text, mt_text, provider, cache, **kwargs)
 
 
 def estimate_cot1(
@@ -588,7 +475,7 @@ def estimate_cot1(
 ) -> QualityScore:
     """Fluency + word-level steps, then a combining prompt."""
     kind = EstimatorKind(name="cot1", scoring_mode=scoring_mode)
-    return _estimate_single(kind, src_text, mt_text, provider, cache, **kwargs)
+    return _estimate_pair(kind, src_text, mt_text, provider, cache, **kwargs)
 
 
 def estimate_cot2(
@@ -596,4 +483,4 @@ def estimate_cot2(
 ) -> QualityScore:
     """Fluency + word-level + sentence-level steps, then a combining prompt."""
     kind = EstimatorKind(name="cot2", scoring_mode=scoring_mode)
-    return _estimate_single(kind, src_text, mt_text, provider, cache, **kwargs)
+    return _estimate_pair(kind, src_text, mt_text, provider, cache, **kwargs)

@@ -25,12 +25,17 @@ import click
 from . import __version__
 from .alignment import align_tokens, render_heatmap, tokenize
 from .backend import FileCache, GenParams, HttpProvider, MockFixtures, MockProvider
+# perfbench/tracing.py wraps _build_provider, score_dataset, the corpus loaders,
+# load_score_file and kendall_tau_rr as attributes of this module: keep them here.
 from .chains import (
     ESTIMATOR_NAMES,
+    SCORING_MODES,
+    STEP_FAILURES,
     EstimatorKind,
     ScoreTable,
     load_score_file,
-    score_dataset,
+    score_dataset,  # noqa: F401  (unused here; see above)
+    score_estimators,
 )
 from .corpus import (
     EvalDataset,
@@ -41,15 +46,6 @@ from .corpus import (
 from .errors import ConfigError, InsufficientSystemsError, KpeError
 from .metrics import kendall_tau_rr, pairwise_accuracy, score_distribution, system_score
 from .prompting import builtin_templates
-
-_REPORT_ORDER = (
-    "gemba",
-    "prompt1_perplexity",
-    "prompt2_token",
-    "prompt3_sentence",
-    "cot1",
-    "cot2",
-)
 
 _DEFAULT_ESTIMATORS = "prompt1_perplexity,prompt2_token,prompt3_sentence,cot1,cot2"
 
@@ -88,7 +84,7 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.drop_policy not in ("drop", "middle"):
             raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
-        if self.step_failure not in ("abort_pair", "substitute_middle"):
+        if self.step_failure not in STEP_FAILURES:
             raise ConfigError(f"unknown step_failure {self.step_failure!r}")
         if self.provider == "http" and not self.endpoint_url:
             raise ConfigError("http provider needs endpoint_url")
@@ -304,10 +300,8 @@ def _score_options(fn):
 @_score_options
 @click.option("--estimators", type=str, default=None,
               help="Comma-separated estimator names.")
-@click.option("--mode", "scoring_mode",
-              type=click.Choice(["cat5", "cat3", "stars", "scalar"]), default=None)
-@click.option("--step-failure", type=click.Choice(["abort_pair", "substitute_middle"]),
-              default=None)
+@click.option("--mode", "scoring_mode", type=click.Choice(SCORING_MODES), default=None)
+@click.option("--step-failure", type=click.Choice(STEP_FAILURES), default=None)
 @click.option("--error-rate-threshold", type=float, default=None)
 def score(config_path, **flags) -> None:
     """Score every system output with the configured estimators."""
@@ -325,34 +319,31 @@ def score(config_path, **flags) -> None:
     cache = FileCache(cfg.effective_cache_dir())
     params = cfg.gen_params()
 
-    tables: dict[str, ScoreTable] = {}
-    total = errored = 0
     try:
-        for name in cfg.estimators:
-            kind = EstimatorKind(name=name, scoring_mode=cfg.scoring_mode)
-            click.echo(f"scoring {name} ({cfg.scoring_mode})...", err=True)
-            table = score_dataset(
-                kind,
-                dataset,
-                provider,
-                cache,
-                params=params,
-                max_in_flight=cfg.max_in_flight,
-                step_failure=cfg.step_failure,
-            )
+        kinds = [EstimatorKind(name, cfg.scoring_mode) for name in cfg.estimators]
+        click.echo(f"scoring {', '.join(cfg.estimators)} ({cfg.scoring_mode})...", err=True)
+        tables = score_estimators(
+            kinds,
+            dataset,
+            provider,
+            cache,
+            params=params,
+            max_in_flight=cfg.max_in_flight,
+            step_failure=cfg.step_failure,
+        )
+        for name, table in tables.items():
             path = out_dir / f"scores_{name}.jsonl"
             table.write_jsonl(path)
-            tables[name] = table
-            total += table.total
-            errored += table.n_errored
             click.echo(
-                f"  {table.total} pairs, {table.n_parsed} parsed, "
+                f"  {name}: {table.total} pairs, {table.n_parsed} parsed, "
                 f"{table.n_errored} errors -> {path}",
                 err=True,
             )
     except (KpeError, OSError) as exc:
         _fail(str(exc))
         return
+    total = sum(t.total for t in tables.values())
+    errored = sum(t.n_errored for t in tables.values())
 
     summary = {
         "provider": cfg.provider,
@@ -582,7 +573,7 @@ def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:
         if not score_paths:
             raise ConfigError(f"no scores_*.jsonl files in {scores_dir}")
         tables = [load_score_file(p) for p in score_paths]
-        order = {name: i for i, name in enumerate(_REPORT_ORDER)}
+        order = {name: i for i, name in enumerate(ESTIMATOR_NAMES)}
         tables.sort(key=lambda t: order.get(t.estimator.name, len(order)))
         judgment_rows = load_rr_judgments(judgments, fmt)
         human = None

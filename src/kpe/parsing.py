@@ -35,18 +35,27 @@ class StarScore:
     stars: int
 
 
+_CLASS_ANCHOR = "class:"
+
+
 def parse_categorical(text: str, schema: ResponseSchema) -> CategoryScore:
     """Find which class label a response names.
 
     Case-insensitive substring search; punctuation or quotes around the
-    label do not matter because matching is positional. When several labels
-    occur, the longest match wins; equal lengths fall back to the earliest
-    occurrence. Distinct labels matching the same best span (possible only
-    if two labels are case-variants) is an AmbiguityError.
+    label do not matter because matching is positional. If the response
+    has a `Class:` anchor, only the text after the last one is searched, so
+    an answer that first echoes the class list is read from its verdict.
+    When several labels occur, the longest match wins; equal lengths fall
+    back to the earliest occurrence. Distinct labels matching the same best
+    span (possible only if two labels are case-variants) is an
+    AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")
     lowered = text.lower()
+    anchor = lowered.rfind(_CLASS_ANCHOR)
+    if anchor != -1:
+        lowered = lowered[anchor + len(_CLASS_ANCHOR):]
     best: tuple[int, int, int] | None = None  # (-len, pos, class index)
     for idx, label in enumerate(schema.classes):
         needle = label.lower()

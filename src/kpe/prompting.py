@@ -246,25 +246,57 @@ def load_template_file(path: str | Path) -> PromptTemplate:
     return parse_template_text(p.read_text(encoding="utf-8"), origin=str(p))
 
 
-# Which one-step templates feed each combiner, in stage order, and the
-# placeholder each step's parsed answer is bound to. The mock provider and
-# the chain runner both consult these tables.
-COMBINE_STEP_TEMPLATES: dict[str, tuple[str, ...]] = {
-    "kpe_cot1_combine": ("kpe_perplexity", "kpe_token_sim"),
-    "kpe_cot1_combine_cat3": ("kpe_perplexity_cat3", "kpe_token_sim_cat3"),
-    "kpe_cot2_combine": ("kpe_perplexity", "kpe_token_sim", "kpe_sent_sim"),
-    "kpe_cot2_combine_cat3": (
-        "kpe_perplexity_cat3",
-        "kpe_token_sim_cat3",
-        "kpe_sent_sim_cat3",
-    ),
-}
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """How one estimator prompts.
 
-ANSWER_PLACEHOLDERS: tuple[str, ...] = (
-    "perplexity_answer",
-    "token_answer",
-    "sentence_answer",
-)
+    templates maps each scoring mode the estimator supports to its template
+    id; for a chain that template is the combiner, and steps names the step
+    estimators it runs first, in stage order. answer is the combiner
+    placeholder a step estimator's parsed class is bound to.
+    """
+
+    templates: dict[str, str]
+    steps: tuple[str, ...] = ()
+    answer: str | None = None
+
+
+# Every estimator, one-step kinds first. The chain runner and the mock
+# provider both read this table.
+ESTIMATORS: dict[str, EstimatorSpec] = {
+    "gemba": EstimatorSpec({
+        "cat5": "gemba_classify",
+        "cat3": "gemba_classify_cat3",
+        "stars": "gemba_stars",
+        "scalar": "gemba_scalar",
+    }),
+    "prompt1_perplexity": EstimatorSpec({
+        "cat5": "kpe_perplexity",
+        "cat3": "kpe_perplexity_cat3",
+        "stars": "kpe_perplexity_stars",
+        "scalar": "kpe_perplexity_scalar",
+    }, answer="perplexity_answer"),
+    "prompt2_token": EstimatorSpec({
+        "cat5": "kpe_token_sim",
+        "cat3": "kpe_token_sim_cat3",
+        "stars": "kpe_token_sim_stars",
+        "scalar": "kpe_token_sim_scalar",
+    }, answer="token_answer"),
+    "prompt3_sentence": EstimatorSpec({
+        "cat5": "kpe_sent_sim",
+        "cat3": "kpe_sent_sim_cat3",
+        "stars": "kpe_sent_sim_stars",
+        "scalar": "kpe_sent_sim_scalar",
+    }, answer="sentence_answer"),
+    "cot1": EstimatorSpec({
+        "cat5": "kpe_cot1_combine",
+        "cat3": "kpe_cot1_combine_cat3",
+    }, steps=("prompt1_perplexity", "prompt2_token")),
+    "cot2": EstimatorSpec({
+        "cat5": "kpe_cot2_combine",
+        "cat3": "kpe_cot2_combine_cat3",
+    }, steps=("prompt1_perplexity", "prompt2_token", "prompt3_sentence")),
+}
 
 
 # Numbered token-list payloads for the alignment template ------------------

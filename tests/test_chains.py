@@ -6,19 +6,17 @@ import pytest
 
 from kpe.backend import FileCache, GenParams, MockFixtures, MockProvider, request_digest
 from kpe.chains import (
-    COT_STEP_KINDS,
     EstimatorKind,
-    combiner_template_id,
     estimate_cot1,
     estimate_cot2,
     estimate_one_step,
     load_score_file,
     score_dataset,
-    template_id_for,
+    score_estimators,
 )
 from kpe.corpus import EvalDataset, Segment, SystemOutput
-from kpe.errors import InputError, ParseError
-from kpe.prompting import builtin_templates, render_template
+from kpe.errors import InputError, ParseError, TransportError
+from kpe.prompting import ESTIMATORS, builtin_templates, render_template
 
 PARAMS = GenParams(model_id="mock-1")
 
@@ -62,15 +60,23 @@ def test_estimator_kind_validation():
 
 
 def test_template_routing():
-    assert template_id_for("gemba", "cat5") == "gemba_classify"
-    assert template_id_for("gemba", "cat3") == "gemba_classify_cat3"
-    assert template_id_for("gemba", "stars") == "gemba_stars"
-    assert template_id_for("gemba", "scalar") == "gemba_scalar"
-    assert template_id_for("prompt1_perplexity", "cat5") == "kpe_perplexity"
-    assert template_id_for("prompt2_token", "cat3") == "kpe_token_sim_cat3"
-    assert template_id_for("prompt3_sentence", "stars") == "kpe_sent_sim_stars"
-    assert combiner_template_id("cot1", "cat5") == "kpe_cot1_combine"
-    assert combiner_template_id("cot2", "cat3") == "kpe_cot2_combine_cat3"
+    def template_id(name, mode):
+        return ESTIMATORS[name].templates[mode]
+
+    assert template_id("gemba", "cat5") == "gemba_classify"
+    assert template_id("gemba", "cat3") == "gemba_classify_cat3"
+    assert template_id("gemba", "stars") == "gemba_stars"
+    assert template_id("gemba", "scalar") == "gemba_scalar"
+    assert template_id("prompt1_perplexity", "cat5") == "kpe_perplexity"
+    assert template_id("prompt2_token", "cat3") == "kpe_token_sim_cat3"
+    assert template_id("prompt3_sentence", "stars") == "kpe_sent_sim_stars"
+    assert template_id("cot1", "cat5") == "kpe_cot1_combine"
+    assert template_id("cot2", "cat3") == "kpe_cot2_combine_cat3"
+    assert EstimatorKind("cot2", "cat3").template_id == "kpe_cot2_combine_cat3"
+    registry = builtin_templates()
+    for spec in ESTIMATORS.values():
+        for mode, tid in spec.templates.items():
+            assert tid in registry, (mode, tid)
 
 
 # single-pair estimation ----------------------------------------------------
@@ -253,38 +259,75 @@ def test_chain_failure_skips_later_stages(identical_pair):
 
 
 class StageOrderProvider:
-    """Records the template id of every call to check stage synchrony."""
+    """Logs when each prompt is sent and when its answer comes back."""
 
     def __init__(self, inner):
         self.inner = inner
         self.provider_id = "ordered"
         self.calls = 0
-        self.sequence = []
+        self.events = []
+        self.texts = []
         self._lock = threading.Lock()
 
     def complete(self, prompt, params):
         with self._lock:
             self.calls += 1
-            self.sequence.append(prompt.template_id)
-        return self.inner.complete(prompt, params)
+            self.texts.append(prompt.final_text)
+            self.events.append(("sent", prompt.template_id))
+        text = self.inner.complete(prompt, params)
+        with self._lock:
+            self.events.append(("answered", prompt.template_id))
+        return text
 
 
 def test_chain_stages_are_synchronous():
     mts = {f"s{i}": f"translation number {i} with words." for i in range(6)}
     dataset, fixtures = _pair_fixtures(mts, {seg: mt for seg, mt in mts.items()})
     provider = StageOrderProvider(MockProvider(fixtures=fixtures))
-    score_dataset(
-        EstimatorKind(name="cot1"), dataset, provider, None,
-        params=PARAMS, max_in_flight=3,
+    kinds = [EstimatorKind(name) for name in ("prompt1_perplexity", "cot1", "cot2")]
+    tables = score_estimators(kinds, dataset, provider, None, params=PARAMS, max_in_flight=3)
+    assert all(t.n_parsed == 6 for t in tables.values())
+    combiners = {"kpe_cot1_combine", "kpe_cot2_combine"}
+    first_combiner_sent = min(
+        n for n, (event, tid) in enumerate(provider.events)
+        if event == "sent" and tid in combiners
     )
-    seq = provider.sequence
-    assert len(seq) == 18
-    boundaries = [seq.index(t) for t in ("kpe_perplexity", "kpe_token_sim", "kpe_cot1_combine")]
-    assert boundaries == sorted(boundaries)
-    # no stage starts before the previous one fully drains
-    assert seq[:6].count("kpe_perplexity") == 6
-    assert seq[6:12].count("kpe_token_sim") == 6
-    assert seq[12:].count("kpe_cot1_combine") == 6
+    last_step_answered = max(
+        n for n, (event, tid) in enumerate(provider.events)
+        if event == "answered" and tid not in combiners
+    )
+    # no combiner prompt goes out before every step prompt has been answered
+    assert last_step_answered < first_combiner_sent
+    # 3 step prompts and 2 combiners per pair, each sent exactly once
+    assert provider.calls == len(set(provider.texts)) == 6 * 5
+
+
+def test_default_estimators_share_step_prompts(toy):
+    provider = MockProvider(fixtures=toy.fixtures)
+    names = ("prompt1_perplexity", "prompt2_token", "prompt3_sentence", "cot1", "cot2")
+    tables = score_estimators(
+        [EstimatorKind(name) for name in names], toy.dataset, provider, None, params=PARAMS
+    )
+    # 240 pairs x (3 step prompts + 2 combiners), with no cache to share through
+    assert provider.calls == 1200
+    assert all(tables[name].n_parsed == 240 for name in names)
+
+
+def test_single_pair_reraises_the_provider_error(identical_pair):
+    _, mock = identical_pair
+    error = TransportError("connection refused")
+
+    class Refusing:
+        provider_id = "refusing"
+
+        def complete(self, prompt, params):
+            if prompt.template_id == "kpe_token_sim":
+                raise error
+            return mock.complete(prompt, params)
+
+    with pytest.raises(TransportError) as caught:
+        estimate_cot2("quelle s1", IDENTICAL, Refusing(), params=PARAMS)
+    assert caught.value is error
 
 
 def test_chain_reuses_cached_step_responses(tmp_path, identical_pair):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kpe
 from kpe.cli import build_run_config, main, parse_max_age
 from kpe.errors import ConfigError
 
@@ -91,6 +95,17 @@ def test_unknown_estimator_rejected(tmp_path):
     path = write_config(tmp_path, {"estimators": ["gemba", "prompt9_vibes"]})
     with pytest.raises(ConfigError, match="prompt9_vibes"):
         build_run_config(path, {})
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # only the http provider needs requests; every other command skips its import cost
+    src = str(Path(kpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, kpe.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_version_flag():

@@ -45,6 +45,21 @@ def test_categorical_longest_match_wins():
     assert got.index == 1
 
 
+def test_categorical_reads_after_the_last_class_anchor():
+    # an answer that echoes the class list before its verdict
+    echoed = (
+        'The classes are "No meaning preserved", "Some meaning preserved, but not '
+        'understandable", "Some meaning preserved and understandable", "Most meaning '
+        'preserved, minor issues", "Perfect translation".\nClass: Perfect translation'
+    )
+    assert parse_categorical(echoed, CAT5).index == 4
+    assert parse_categorical("CLASS: no meaning preserved", CAT5).index == 0
+    assert parse_categorical("class: x. Class: Some meaning preserved and understandable",
+                             CAT5).index == 2
+    with pytest.raises(NoMatchError):
+        parse_categorical("Perfect translation. Class: unsure", CAT5)
+
+
 def test_categorical_earliest_of_equal_lengths():
     schema = ResponseSchema(kind="categorical", classes=("alpha", "gamma"))
     got = parse_categorical("gamma then alpha", schema)

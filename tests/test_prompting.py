@@ -9,8 +9,7 @@ from kpe.errors import (
     UnknownBindingError,
 )
 from kpe.prompting import (
-    ANSWER_PLACEHOLDERS,
-    COMBINE_STEP_TEMPLATES,
+    ESTIMATORS,
     PromptTemplate,
     ResponseSchema,
     builtin_templates,
@@ -99,13 +98,25 @@ def test_perplexity_template_binds_translation_only():
 
 def test_combiners_declare_answer_placeholders():
     registry = builtin_templates()
-    for combiner_id, step_ids in COMBINE_STEP_TEMPLATES.items():
-        template = registry.get(combiner_id)
-        for i in range(len(step_ids)):
-            assert ANSWER_PLACEHOLDERS[i] in template.placeholders
-        assert template.schema.kind == "categorical"
-        for step_id in step_ids:
-            assert registry.get(step_id).schema.kind == "categorical"
+    combiners = {
+        "kpe_cot1_combine": ("kpe_perplexity", "kpe_token_sim"),
+        "kpe_cot1_combine_cat3": ("kpe_perplexity_cat3", "kpe_token_sim_cat3"),
+        "kpe_cot2_combine": ("kpe_perplexity", "kpe_token_sim", "kpe_sent_sim"),
+        "kpe_cot2_combine_cat3": (
+            "kpe_perplexity_cat3", "kpe_token_sim_cat3", "kpe_sent_sim_cat3",
+        ),
+    }
+    seen = {}
+    for chain in ESTIMATORS.values():
+        for mode, combiner_id in chain.templates.items() if chain.steps else ():
+            template = registry.get(combiner_id)
+            assert template.schema.kind == "categorical"
+            steps = [ESTIMATORS[step] for step in chain.steps]
+            for step in steps:
+                assert step.answer in template.placeholders
+                assert registry.get(step.templates[mode]).schema.kind == "categorical"
+            seen[combiner_id] = tuple(step.templates[mode] for step in steps)
+    assert seen == combiners
 
 
 def _tiny_template(body="hello {name}", placeholders=("name",), optional=()):
