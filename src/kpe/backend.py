@@ -3,9 +3,9 @@
 The HTTP provider speaks the common chat-completions wire shape. The mock
 provider grades deterministically from pseudo-reference fixtures so the
 whole harness runs offline. Both sit behind the same two-method surface
-(`provider_id`, `complete`), and everything that talks to a provider goes
-through `cached_complete`, which keys responses by a content digest over
-(model, template id, template version, final prompt text, generation
+(`provider_id`, `complete`). `cached_complete` (one prompt) and `run_batch`
+(many) share one fill path. The cache keys responses by a content digest
+over (model, template id, template version, final prompt text, generation
 parameters). Cache entries are plain JSON files, written atomically, and
 verified against their digest on every read; anything that fails the check
 is quarantined and treated as a miss.
@@ -22,7 +22,7 @@ import threading
 import time
 import unicodedata
 # perfbench/tracing.py replaces kpe.backend.ThreadPoolExecutor to time pool tasks.
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -164,12 +164,17 @@ class FileCache:
     def get(self, digest: str) -> CacheEntry | None:
         """Return the verified entry, or None. Corrupt entries are quarantined."""
         path = self._path(digest)
-        if not path.exists():
+        try:
+            # An entry can vanish at any moment (a concurrent `cache gc`, or
+            # another run's quarantine), so a missing file is a miss however
+            # late it went missing. Other OSErrors still raise.
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             with self._lock:
                 self.misses += 1
             return None
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = json.loads(text)
             entry = CacheEntry(
                 request_digest=obj["request_digest"],
                 model_id=obj["model_id"],
@@ -550,24 +555,24 @@ class MockProvider:
 
 # cached completion and batching ----------------------------------------------
 
-def cached_complete(
+def _hit(provider, entry: CacheEntry) -> CompletionResult:
+    return CompletionResult(
+        text=entry.completion_text,
+        provider_id=provider.provider_id,
+        from_cache=True,
+        latency_ms=0,
+        request_digest=entry.request_digest,
+    )
+
+
+def _fill(
     provider,
     cache: FileCache | None,
     prompt: RenderedPrompt,
     params: GenParams,
+    digest: str,
 ) -> CompletionResult:
-    """Serve from the cache when possible, else call the provider and store."""
-    digest = request_digest(prompt, params)
-    if cache is not None:
-        entry = cache.get(digest)
-        if entry is not None:
-            return CompletionResult(
-                text=entry.completion_text,
-                provider_id=provider.provider_id,
-                from_cache=True,
-                latency_ms=0,
-                request_digest=digest,
-            )
+    """Call the provider, time it, and store the answer under digest."""
     started = time.monotonic()
     text = provider.complete(prompt, params)
     latency_ms = int((time.monotonic() - started) * 1000)
@@ -595,6 +600,27 @@ def cached_complete(
     )
 
 
+def cached_complete(
+    provider,
+    cache: FileCache | None,
+    prompt: RenderedPrompt,
+    params: GenParams,
+) -> CompletionResult:
+    """Serve from the cache when possible, else call the provider and store."""
+    digest = request_digest(prompt, params)
+    if cache is not None:
+        entry = cache.get(digest)
+        if entry is not None:
+            return _hit(provider, entry)
+    return _fill(provider, cache, prompt, params, digest)
+
+
+# Smallest batch the corruption-storm rule applies to. In a smaller batch (a
+# single-pair estimate, say) one corrupt file would already be "more than
+# half", so there corrupt entries are only quarantined and asked again.
+STORM_MIN_BATCH = 4
+
+
 def run_batch(
     provider,
     cache: FileCache | None,
@@ -602,68 +628,68 @@ def run_batch(
     params: GenParams,
     max_in_flight: int = 4,
 ) -> list[CompletionResult | CompletionFailure]:
-    """Complete many prompts with bounded concurrency.
+    """Complete many prompts; results come back in input order.
 
-    Results come back in input order. Identical requests are coalesced:
-    only the first of a duplicate group reaches the provider, the rest are
-    reported as cache hits. Item failures are captured per slot; the only
-    batch-level failure is a cache corruption storm (more than half the
-    items hitting corrupt entries), which aborts the whole batch.
+    Each prompt is digested once and identical requests are coalesced: the
+    first of a duplicate group is looked up or sent, the rest are reported
+    as cache hits with latency 0. Cache lookups run inline in the calling
+    thread, so a fully cached batch never opens a thread pool; only misses
+    go to the provider, through a pool of max_in_flight workers.
+
+    Item failures are captured per slot as CompletionFailure. The only
+    batch-level failure is a cache corruption storm: in a batch of at least
+    STORM_MIN_BATCH items, more than half the items hitting corrupt entries
+    raises CacheCorruptionError. It is checked after all lookups and before
+    any provider call. Smaller batches quarantine corrupt entries and treat
+    them as misses.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     n = len(prompts)
     if n == 0:
         return []
-    digests = [request_digest(p, params) for p in prompts]
     groups: dict[str, list[int]] = {}
-    for i, digest in enumerate(digests):
-        groups.setdefault(digest, []).append(i)
+    for i, prompt in enumerate(prompts):
+        groups.setdefault(request_digest(prompt, params), []).append(i)
 
     results: list[CompletionResult | CompletionFailure | None] = [None] * n
-    corruption_base = cache.corruptions if cache is not None else 0
-    abort = threading.Event()
 
-    def run_group(first_index: int) -> CompletionResult | CompletionFailure:
-        prompt = prompts[first_index]
-        if abort.is_set():
-            return CompletionFailure(
-                error_kind="CacheCorruptionError",
-                message="batch aborted by corruption storm",
-                request_digest=digests[first_index],
+    def settle(members: list[int], outcome: CompletionResult | CompletionFailure) -> None:
+        results[members[0]] = outcome
+        if isinstance(outcome, CompletionResult):
+            outcome = replace(outcome, from_cache=True, latency_ms=0)
+        for extra in members[1:]:
+            results[extra] = outcome
+
+    misses: list[tuple[str, list[int]]] = []
+    corruption_base = cache.corruptions if cache is not None else 0
+    for digest, members in groups.items():
+        entry = cache.get(digest) if cache is not None else None
+        if entry is None:
+            misses.append((digest, members))
+        else:
+            settle(members, _hit(provider, entry))
+    if cache is not None and n >= STORM_MIN_BATCH:
+        if (cache.corruptions - corruption_base) * 2 > n:
+            raise CacheCorruptionError(
+                f"cache corruption storm: more than half of {n} items hit corrupt entries"
             )
+    if not misses:
+        return results  # type: ignore[return-value]
+
+    def complete(miss: tuple[str, list[int]]) -> CompletionResult | CompletionFailure:
+        digest, members = miss
         try:
-            return cached_complete(provider, cache, prompt, params)
+            return _fill(provider, cache, prompts[members[0]], params, digest)
         except KpeError as exc:
             return CompletionFailure(
                 error_kind=type(exc).__name__,
                 message=str(exc),
-                request_digest=digests[first_index],
+                request_digest=digest,
                 exception=exc,
             )
 
-    storm = False
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = {
-            pool.submit(run_group, members[0]): members
-            for members in groups.values()
-        }
-        for future in as_completed(futures):
-            members = futures[future]
-            outcome = future.result()
-            results[members[0]] = outcome
-            for extra in members[1:]:
-                if isinstance(outcome, CompletionResult):
-                    results[extra] = replace(outcome, from_cache=True, latency_ms=0)
-                else:
-                    results[extra] = outcome
-            if cache is not None and not storm:
-                corrupt = cache.corruptions - corruption_base
-                if corrupt * 2 > n:
-                    storm = True
-                    abort.set()
-    if storm:
-        raise CacheCorruptionError(
-            f"cache corruption storm: more than half of {n} items hit corrupt entries"
-        )
+        for (_digest, members), outcome in zip(misses, pool.map(complete, misses)):
+            settle(members, outcome)
     return results  # type: ignore[return-value]

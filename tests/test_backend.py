@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
 
+import kpe.backend
 from kpe.backend import (
     CacheEntry,
     CompletionFailure,
@@ -148,6 +150,35 @@ def test_tampered_entry_fails_digest_check(tmp_path):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert cache.get(entry.request_digest) is None
     assert cache.corruptions == 1
+
+
+def test_cache_entry_removed_mid_read_is_a_miss(tmp_path, monkeypatch):
+    # a concurrent gc or quarantine can unlink the entry while get reads it
+    cache = FileCache(tmp_path / "cache")
+    entry = _entry()
+    cache.put(entry)
+    original = Path.read_text
+
+    def read_after_unlink(self, *args, **kwargs):
+        self.unlink()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_after_unlink)
+    assert cache.get(entry.request_digest) is None
+    assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 0)
+
+
+def test_cache_get_other_os_errors_raise(tmp_path, monkeypatch):
+    cache = FileCache(tmp_path / "cache")
+    entry = _entry()
+    cache.put(entry)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    with pytest.raises(PermissionError):
+        cache.get(entry.request_digest)
 
 
 def test_cache_gc_by_age(tmp_path):
@@ -496,6 +527,93 @@ def test_run_batch_corruption_storm_aborts(tmp_path):
     with pytest.raises(CacheCorruptionError):
         run_batch(provider, cache, prompts, PARAMS, max_in_flight=1)
     assert cache.corruptions >= 3
+
+
+def _corrupt(cache, prompt):
+    digest = request_digest(prompt, PARAMS)
+    path = cache.cache_dir / digest[:2] / f"{digest}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("garbage", encoding="utf-8")
+    return path
+
+
+def test_run_batch_storm_checked_before_any_provider_call(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    provider = CountingProvider()
+    prompts = [_prompt(f"q{i}") for i in range(4)]
+    for prompt in prompts[:3]:
+        _corrupt(cache, prompt)
+    with pytest.raises(CacheCorruptionError):
+        run_batch(provider, cache, prompts, PARAMS, max_in_flight=4)
+    assert provider.calls == 0
+
+
+def test_run_batch_small_batch_corruption_is_a_miss(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    provider = CountingProvider()
+    path = _corrupt(cache, _prompt("q"))
+    (result,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
+    assert result.text == "echo q"
+    assert result.from_cache is False
+    assert provider.calls == 1
+    assert cache.corruptions == 1
+    assert path.with_suffix(".json.corrupt").exists()
+    assert cache.get(result.request_digest).completion_text == "echo q"
+
+
+def test_run_batch_all_cached_opens_no_pool(tmp_path, monkeypatch):
+    cache = FileCache(tmp_path / "cache")
+    prompts = [_prompt(f"q{i % 3}") for i in range(6)]
+    run_batch(CountingProvider(), cache, prompts, PARAMS)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a fully cached batch must not open a pool")
+
+    monkeypatch.setattr(kpe.backend, "ThreadPoolExecutor", NoPool)
+    provider = CountingProvider()
+    results = run_batch(provider, cache, prompts, PARAMS)
+    assert provider.calls == 0
+    assert [r.text for r in results] == [f"echo {p.final_text}" for p in prompts]
+    assert all(r.from_cache and r.latency_ms == 0 for r in results)
+
+
+def test_run_batch_mixed_hits_misses_and_duplicates(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    run_batch(CountingProvider(), cache, [_prompt("hit0"), _prompt("hit1")], PARAMS)
+    provider = CountingProvider(delay_texts={"miss0"})
+    texts = ["miss0", "hit0", "miss1", "miss0", "hit1", "hit0", "miss1", "miss2"]
+    results = run_batch(provider, cache, [_prompt(t) for t in texts], PARAMS)
+    assert sorted(provider.seen) == ["miss0", "miss1", "miss2"]
+    assert [r.text for r in results] == [f"echo {t}" for t in texts]
+    assert [r.request_digest for r in results] == [
+        request_digest(_prompt(t), PARAMS) for t in texts
+    ]
+    # a hit, or a later member of any duplicate group, is served from cache
+    assert [r.from_cache for r in results] == [
+        False, True, False, True, True, True, True, False,
+    ]
+    for i in (1, 3, 4, 5, 6):
+        assert results[i].latency_ms == 0
+    assert results[0].latency_ms >= 40
+
+
+def test_run_batch_digests_each_prompt_once(tmp_path, monkeypatch):
+    calls = []
+    original = kpe.backend.request_digest
+
+    def counting(prompt, params):
+        calls.append(prompt.final_text)
+        return original(prompt, params)
+
+    monkeypatch.setattr(kpe.backend, "request_digest", counting)
+    cache = FileCache(tmp_path / "cache")
+    prompts = [_prompt(f"q{i % 5}") for i in range(12)]
+    run_batch(CountingProvider(), cache, prompts, PARAMS)
+    assert len(calls) == 12
+    calls.clear()
+    run_batch(CountingProvider(), cache, prompts, PARAMS)
+    assert len(calls) == 12
 
 
 def test_run_batch_rejects_bad_concurrency():

@@ -150,6 +150,22 @@ def test_step_digests_rederivable(identical_pair):
         assert request_digest(_rerender(step), PARAMS) == step.digest
 
 
+def test_one_pair_corrupt_cache_entry_is_asked_again(identical_pair, tmp_path):
+    # one corrupt file in a one-item batch is not a corruption storm
+    _, provider = identical_pair
+    cache = FileCache(tmp_path / "cache")
+    kind = EstimatorKind(name="gemba")
+    first = estimate_one_step(kind, "quelle s1", IDENTICAL, provider, cache, params=PARAMS)
+    assert first.ordinal == 4
+    (path,) = cache.cache_dir.glob("*/*.json")
+    path.write_text("garbage", encoding="utf-8")
+    calls = provider.calls
+    score = estimate_one_step(kind, "quelle s1", IDENTICAL, provider, cache, params=PARAMS)
+    assert score.ordinal == 4
+    assert provider.calls == calls + 1
+    assert path.with_suffix(".json.corrupt").exists()
+
+
 def test_empty_mt_rejected(identical_pair):
     _, provider = identical_pair
     with pytest.raises(InputError):
