@@ -26,7 +26,6 @@ from .errors import (
     ValueParseError,
 )
 from .prompting import (
-    TemplateRegistry,
     builtin_templates,
     render_template,
     render_token_list,
@@ -161,7 +160,6 @@ def align_tokens(
     cache: FileCache | None = None,
     *,
     params: GenParams,
-    registry: TemplateRegistry | None = None,
 ) -> AlignmentMatrix:
     """Elicit the full similarity matrix with a single prompt."""
     n_src, n_mt = len(src_tokens), len(mt_tokens)
@@ -171,9 +169,7 @@ def align_tokens(
         raise InputTooLargeError(
             f"{n_src} x {n_mt} = {n_src * n_mt} cells exceeds {MAX_GRID_CELLS}"
         )
-    if registry is None:
-        registry = builtin_templates()
-    template = registry.get("kpe_token_align")
+    template = builtin_templates().get("kpe_token_align")
     prompt = render_template(
         template,
         {

@@ -40,7 +40,6 @@ from .parsing import category_to_ordinal
 from .prompting import (
     ESTIMATORS,
     RenderedPrompt,
-    TemplateRegistry,
     builtin_templates,
     parse_token_list,
 )
@@ -487,13 +486,8 @@ class MockProvider:
     are a pure function of (rendered prompt, fixtures).
     """
 
-    def __init__(
-        self,
-        fixtures: MockFixtures | None = None,
-        registry: TemplateRegistry | None = None,
-    ) -> None:
+    def __init__(self, fixtures: MockFixtures | None = None) -> None:
         self.fixtures = fixtures
-        self.registry = registry if registry is not None else builtin_templates()
         self.provider_id = "mock"
         self._lock = threading.Lock()
         self.calls = 0
@@ -526,11 +520,11 @@ class MockProvider:
         return "\n".join(lines)
 
     def _combine_response(self, prompt: RenderedPrompt, steps: tuple[str, ...], mode: str) -> str:
-        template = self.registry.get(prompt.template_id)
+        template = builtin_templates().get(prompt.template_id)
         indexes = []
         for step in steps:
             spec = ESTIMATORS[step]
-            schema = self.registry.get(spec.templates[mode]).schema
+            schema = builtin_templates().get(spec.templates[mode]).schema
             indexes.append(category_to_ordinal(prompt.bindings[spec.answer], schema))
         final = int(sum(indexes) / len(indexes) + 0.5)  # round half up
         return f"Class: {template.schema.classes[final]}"
@@ -543,7 +537,7 @@ class MockProvider:
         key = self.fixtures.locate(mt_text, src_text)
         ref = self.fixtures.ref(_aspect_of(prompt.template_id), key)
         o = trigram_overlap(mt_text.lower(), ref.lower())
-        schema = self.registry.get(prompt.template_id).schema
+        schema = builtin_templates().get(prompt.template_id).schema
         if schema.kind == "categorical":
             idx = overlap_bucket(o, len(schema.classes))
             return f"Class: {schema.classes[idx]}"

@@ -43,7 +43,6 @@ from .prompting import (
     ESTIMATORS,
     PromptTemplate,
     RenderedPrompt,
-    TemplateRegistry,
     builtin_templates,
     render_template,
 )
@@ -324,13 +323,11 @@ def _run_plan(
     params: GenParams,
     max_in_flight: int = 4,
     step_failure: str = "abort_pair",
-    registry: TemplateRegistry | None = None,
 ) -> dict[str, list[_PairState]]:
     """Score outputs with every estimator in two batches; states per estimator name."""
     if step_failure not in STEP_FAILURES:
         raise InputError(f"unknown step_failure policy {step_failure!r}")
-    if registry is None:
-        registry = builtin_templates()
+    registry = builtin_templates()
     sources = [dataset.get_segment(out.lp, out.seg_id).src_text for out in outputs]
     states = {kind.name: [_PairState() for _ in outputs] for kind in kinds}
     live = []
@@ -405,7 +402,6 @@ def score_estimators(
     params: GenParams,
     max_in_flight: int = 4,
     step_failure: str = "abort_pair",
-    registry: TemplateRegistry | None = None,
 ) -> dict[str, ScoreTable]:
     """Score every system output with every estimator; one table per estimator name.
 
@@ -418,7 +414,7 @@ def score_estimators(
     outputs = sorted(dataset.outputs)
     states = _run_plan(
         kinds, dataset, outputs, provider, cache, params=params,
-        max_in_flight=max_in_flight, step_failure=step_failure, registry=registry,
+        max_in_flight=max_in_flight, step_failure=step_failure,
     )
     return {
         kind.name: ScoreTable(

@@ -1,8 +1,11 @@
 """Command-line surface: score, report, align, templates, cache gc.
 
-Configuration comes from an optional JSON file (--config); every key can
-be overridden by the matching flag. The provider API key is read from the
-KPE_API_KEY environment variable only, never from config or flags.
+Run settings come from an optional JSON file (--config) and from flags,
+and a flag beats the file. Each setting is one RunConfig field: its name
+is the config key and the flag's destination, and it declares the
+setting's default, JSON type and allowed values, against which
+build_run_config checks every value. The provider API key is read from
+the KPE_API_KEY environment variable only, never from config or flags.
 
 Exit codes: 0 success; 1 config, IO or provider-unreachable errors;
 2 finished but the scoring error rate exceeded the threshold (or an
@@ -16,9 +19,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn, get_args, get_type_hints
 
 import click
 
@@ -38,6 +42,7 @@ from .chains import (
     score_estimators,
 )
 from .corpus import (
+    FORMATS,
     EvalDataset,
     load_rr_judgments,
     load_segments,
@@ -47,54 +52,53 @@ from .errors import ConfigError, InsufficientSystemsError, KpeError
 from .metrics import kendall_tau_rr, pairwise_accuracy, score_distribution, system_score
 from .prompting import builtin_templates
 
-_DEFAULT_ESTIMATORS = "prompt1_perplexity,prompt2_token,prompt3_sentence,cot1,cot2"
+PROVIDERS = ("http", "mock")
 
 _PROVIDER_UNREACHABLE_KINDS = (": TransportError: ", ": AuthError: ", ": RateLimitError: ")
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings for a scoring or alignment run."""
+    """Settings of a scoring or alignment run, one field per setting.
 
-    segments: str
-    outputs: str
+    A field's name is its config-file key and the destination of its flag.
+    Its annotation is the JSON type a config value must have (a float
+    field also takes an integer), and a ``choices`` entry in its metadata
+    is the tuple of allowed values that the flag's click.Choice shares.
+    """
+
+    segments: str = ""
+    outputs: str = ""
     judgments: str | None = None
-    fmt: str = "tsv"
-    provider: str = "mock"
+    format: str = field(default="tsv", metadata={"choices": FORMATS})
+    provider: str = field(default="mock", metadata={"choices": PROVIDERS})
     mock_fixtures: str | None = None
     endpoint_url: str | None = None
     model_id: str | None = None
     out: str = "kpe_out"
     cache_dir: str | None = None
     max_in_flight: int = 4
-    scoring_mode: str = "cat5"
-    estimators: tuple[str, ...] = ()
-    drop_policy: str = "drop"
-    step_failure: str = "abort_pair"
+    scoring_mode: str = field(default="cat5", metadata={"choices": SCORING_MODES})
+    # a list or a comma-separated string in a config file
+    estimators: tuple[str, ...] = (
+        "prompt1_perplexity", "prompt2_token", "prompt3_sentence", "cot1", "cot2"
+    )
+    step_failure: str = field(default="abort_pair", metadata={"choices": STEP_FAILURES})
     error_rate_threshold: float = 0.01
     temperature: float = 0.0
     max_tokens: int = 256
 
-    def validate(self, *, need_outputs: bool = True) -> None:
+    def validate(self) -> None:
+        """Check the rules that tie settings together or reach the file system."""
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
-        if self.provider not in ("http", "mock"):
-            raise ConfigError(f"unknown provider {self.provider!r}")
-        if self.fmt not in ("tsv", "jsonl"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.drop_policy not in ("drop", "middle"):
-            raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
-        if self.step_failure not in STEP_FAILURES:
-            raise ConfigError(f"unknown step_failure {self.step_failure!r}")
         if self.provider == "http" and not self.endpoint_url:
             raise ConfigError("http provider needs endpoint_url")
         if self.provider == "http" and not self.model_id:
             raise ConfigError("http provider needs model_id")
         if self.provider == "mock" and not self.mock_fixtures:
             raise ConfigError("mock provider needs mock_fixtures")
-        paths = [("segments", self.segments)]
-        if need_outputs:
-            paths.append(("outputs", self.outputs))
+        paths = [("segments", self.segments), ("outputs", self.outputs)]
         if self.judgments is not None:
             paths.append(("judgments", self.judgments))
         if self.mock_fixtures is not None and self.provider == "mock":
@@ -105,11 +109,6 @@ class RunConfig:
             if not Path(path).exists():
                 raise ConfigError(f"{name} file does not exist: {path}")
 
-    def effective_model_id(self) -> str:
-        if self.model_id:
-            return self.model_id
-        return "mock-1"
-
     def effective_cache_dir(self) -> str:
         if self.cache_dir:
             return self.cache_dir
@@ -117,32 +116,15 @@ class RunConfig:
 
     def gen_params(self) -> GenParams:
         return GenParams(
-            model_id=self.effective_model_id(),
+            model_id=self.model_id or "mock-1",
             temperature=self.temperature,
             max_tokens=self.max_tokens,
         )
 
 
-_CONFIG_KEYS = {
-    "segments": str,
-    "outputs": str,
-    "judgments": str,
-    "format": str,
-    "provider": str,
-    "mock_fixtures": str,
-    "endpoint_url": str,
-    "model_id": str,
-    "out": str,
-    "cache_dir": str,
-    "max_in_flight": int,
-    "scoring_mode": str,
-    "estimators": None,  # list or comma string
-    "drop_policy": str,
-    "step_failure": str,
-    "error_rate_threshold": float,
-    "temperature": float,
-    "max_tokens": int,
-}
+_SETTINGS = {f.name: f for f in fields(RunConfig)}
+_SETTING_TYPES = get_type_hints(RunConfig)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
 
 
 def _parse_estimators(value) -> tuple[str, ...]:
@@ -162,6 +144,22 @@ def _parse_estimators(value) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _check_setting(key: str, value):
+    """Return value as the type of RunConfig field key, or raise ConfigError naming it."""
+    if key == "estimators":
+        return _parse_estimators(value)
+    types = get_args(_SETTING_TYPES[key]) or (_SETTING_TYPES[key],)
+    accepted = types + (int,) if float in types else types
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = " or ".join(_TYPE_NAMES[t] for t in types)
+        got = json.dumps(value, default=repr)  # as the config file spells it
+        raise ConfigError(f"config key {key!r} must be {expected}, got {got}")
+    choices = _SETTINGS[key].metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}; choose from {', '.join(choices)}")
+    return float(value) if float in types else value
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -174,45 +172,24 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     for key in obj:
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
     return obj
 
 
 def build_run_config(config_path: str | None, overrides: dict) -> RunConfig:
-    """Merge file values and flag overrides (flags win) into a RunConfig."""
+    """Merge file values and flag overrides (flags win) into a checked RunConfig."""
     merged = _load_config_file(config_path)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
-    estimators = _parse_estimators(merged.get("estimators", _DEFAULT_ESTIMATORS))
-    cfg = RunConfig(
-        segments=str(merged.get("segments", "")),
-        outputs=str(merged.get("outputs", "")),
-        judgments=merged.get("judgments"),
-        fmt=str(merged.get("format", "tsv")),
-        provider=str(merged.get("provider", "mock")),
-        mock_fixtures=merged.get("mock_fixtures"),
-        endpoint_url=merged.get("endpoint_url"),
-        model_id=merged.get("model_id"),
-        out=str(merged.get("out", "kpe_out")),
-        cache_dir=merged.get("cache_dir"),
-        max_in_flight=int(merged.get("max_in_flight", 4)),
-        scoring_mode=str(merged.get("scoring_mode", "cat5")),
-        estimators=estimators,
-        drop_policy=str(merged.get("drop_policy", "drop")),
-        step_failure=str(merged.get("step_failure", "abort_pair")),
-        error_rate_threshold=float(merged.get("error_rate_threshold", 0.01)),
-        temperature=float(merged.get("temperature", 0.0)),
-        max_tokens=int(merged.get("max_tokens", 256)),
-    )
-    return cfg
+    return RunConfig(**{key: _check_setting(key, value) for key, value in merged.items()})
 
 
 def _load_dataset_from(cfg: RunConfig) -> EvalDataset:
-    segments = load_segments(cfg.segments, cfg.fmt)
-    outputs = load_system_outputs(cfg.outputs, cfg.fmt)
-    judgments = load_rr_judgments(cfg.judgments, cfg.fmt) if cfg.judgments else []
+    segments = load_segments(cfg.segments, cfg.format)
+    outputs = load_system_outputs(cfg.outputs, cfg.format)
+    judgments = load_rr_judgments(cfg.judgments, cfg.format) if cfg.judgments else []
     return EvalDataset.build(segments, outputs, judgments)
 
 
@@ -224,7 +201,7 @@ def _build_provider(cfg: RunConfig, dataset: EvalDataset):
     return HttpProvider(endpoint_url=cfg.endpoint_url, api_key=api_key)
 
 
-def _fail(message: str, code: int = 1) -> None:
+def _fail(message: str, code: int = 1) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -283,8 +260,8 @@ def _score_options(fn):
     fn = click.option("--segments", type=str, default=None)(fn)
     fn = click.option("--outputs", type=str, default=None)(fn)
     fn = click.option("--judgments", type=str, default=None)(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default=None)(fn)
-    fn = click.option("--provider", type=click.Choice(["http", "mock"]), default=None)(fn)
+    fn = click.option("--format", type=click.Choice(FORMATS), default=None)(fn)
+    fn = click.option("--provider", type=click.Choice(PROVIDERS), default=None)(fn)
     fn = click.option("--mock-fixtures", type=str, default=None)(fn)
     fn = click.option("--endpoint-url", type=str, default=None)(fn)
     fn = click.option("--model-id", type=str, default=None)(fn)
@@ -312,7 +289,6 @@ def score(config_path, **flags) -> None:
         provider = _build_provider(cfg, dataset)
     except (KpeError, OSError, ValueError) as exc:
         _fail(str(exc))
-        return
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,7 +317,6 @@ def score(config_path, **flags) -> None:
             )
     except (KpeError, OSError) as exc:
         _fail(str(exc))
-        return
     total = sum(t.total for t in tables.values())
     errored = sum(t.n_errored for t in tables.values())
 
@@ -381,7 +356,6 @@ def score(config_path, **flags) -> None:
         ]
         if any(kind in note for note in notes for kind in _PROVIDER_UNREACHABLE_KINDS):
             _fail("provider unreachable: no pair scored; see score files for details")
-            return
     rate = (errored / total) if total else 0.0
     if rate > cfg.error_rate_threshold:
         click.echo(
@@ -560,7 +534,7 @@ def _human_accuracy_rows(tables, human_scores, warnings) -> list[tuple]:
 @click.option("--scores", "scores_dir", type=str, required=True,
               help="Directory holding scores_<estimator>.jsonl files.")
 @click.option("--judgments", type=str, required=True)
-@click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default="tsv")
 @click.option("--human-scores", type=str, default=None,
               help="JSON file {lp: {system: score}} for pairwise accuracy.")
 @click.option("--drop-policy", type=click.Choice(["drop", "middle"]), default="drop")
@@ -580,12 +554,16 @@ def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:
         if human_scores is not None:
             human = json.loads(Path(human_scores).read_text(encoding="utf-8"))
             if not isinstance(human, dict) or not all(
-                isinstance(v, dict) for v in human.values()
+                isinstance(by_system, dict)
+                and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in by_system.values()
+                )
+                for by_system in human.values()
             ):
-                raise ConfigError("human scores must be {lp: {system: score}}")
+                raise ConfigError("human scores must be {lp: {system: number}}")
     except (KpeError, OSError, ValueError) as exc:
         _fail(str(exc))
-        return
 
     data = _collect_report(tables, judgment_rows, drop_policy)
     human_rows = (
@@ -637,7 +615,6 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
                 raise ConfigError(f"no output for {lp}/{system_id}/{seg_id}")
     except (KpeError, OSError, ValueError) as exc:
         _fail(str(exc))
-        return
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -711,7 +688,6 @@ def cache_gc(cache_dir, max_age) -> None:
         removed = FileCache(cache_dir).gc(age_s)
     except (KpeError, OSError) as exc:
         _fail(str(exc))
-        return
     click.echo(f"removed {removed} entries")
 
 

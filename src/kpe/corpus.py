@@ -163,15 +163,6 @@ class EvalDataset:
     def systems(self, lp: str) -> list[str]:
         return sorted({o.system_id for o in self.outputs if o.lp == lp})
 
-    def segments_of(self, lp: str) -> list[Segment]:
-        return sorted(s for s in self.segments if s.lp == lp)
-
-    def outputs_of(self, lp: str) -> list[SystemOutput]:
-        return sorted(o for o in self.outputs if o.lp == lp)
-
-    def judgments_of(self, lp: str) -> list[RRJudgment]:
-        return [j for j in self.judgments if j.lp == lp]
-
 
 def _iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, decoded line) pairs, skipping blank lines.
@@ -226,10 +217,13 @@ def _check_lp(path: str, line_no: int, lp: str) -> str:
     return lp
 
 
+FORMATS = ("tsv", "jsonl")
+
+
 def _records(
     path: str | Path, fmt: str, fields: tuple[str, ...]
 ) -> Iterator[tuple[int, list[str]]]:
-    if fmt not in ("tsv", "jsonl"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
     p = str(path)
     for line_no, line in _iter_lines(path):

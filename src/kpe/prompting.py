@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 from .errors import (
     EmptyValueError,
@@ -239,11 +238,6 @@ def builtin_templates() -> TemplateRegistry:
             templates[tpl.template_id] = tpl
         _BUILTIN = TemplateRegistry(templates)
     return _BUILTIN
-
-
-def load_template_file(path: str | Path) -> PromptTemplate:
-    p = Path(path)
-    return parse_template_text(p.read_text(encoding="utf-8"), origin=str(p))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 import kpe
-from kpe.cli import build_run_config, main, parse_max_age
+from kpe.cli import RunConfig, build_run_config, main, parse_max_age
+from kpe.corpus import load_dataset, save_dataset_jsonl
 from kpe.errors import ConfigError
 
 REF_S1 = "der hund laeuft schnell heute"
@@ -95,6 +97,47 @@ def test_unknown_estimator_rejected(tmp_path):
     path = write_config(tmp_path, {"estimators": ["gemba", "prompt9_vibes"]})
     with pytest.raises(ConfigError, match="prompt9_vibes"):
         build_run_config(path, {})
+
+
+def test_run_config_fields_are_the_setting_flags():
+    # one declaration per setting: each score flag stores into the field it sets
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    score_dests = {p.name for p in main.commands["score"].params} - {"config_path"}
+    assert score_dests == names
+    align_dests = {p.name for p in main.commands["align"].params} - {
+        "config_path", "lp", "system_id", "seg_ids"
+    }
+    assert align_dests <= names
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("judgments", 5),
+        ("mock_fixtures", ["a"]),
+        ("cache_dir", 7),
+        ("out", None),
+        ("segments", None),
+        ("max_in_flight", True),
+        ("max_in_flight", 2.7),
+        ("max_in_flight", "4"),
+        ("temperature", "hot"),
+        ("scoring_mode", "cat7"),
+        ("drop_policy", "drop"),
+    ],
+)
+def test_score_rejects_bad_config_value(tmp_path, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_tiny_corpus(tmp_path)
+    cfg[key] = value
+    path = write_config(tmp_path, cfg)
+    result = CliRunner().invoke(main, ["score", "--config", path, "--estimators", "gemba"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert key in result.stderr
+    assert not (tmp_path / "None").exists()
 
 
 def test_cli_import_leaves_requests_unloaded():
@@ -197,6 +240,23 @@ def test_score_rerun_hits_cache(tmp_path):
     assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
 
 
+def test_score_format_flag_reads_jsonl(tmp_path):
+    cfg = write_tiny_corpus(tmp_path)
+    dataset = load_dataset(cfg["segments"], cfg["outputs"], cfg["judgments"])
+    for key in ("segments", "outputs", "judgments"):
+        cfg[key] = str(tmp_path / f"{key}.jsonl")
+    save_dataset_jsonl(dataset, cfg["segments"], cfg["outputs"], cfg["judgments"])
+    cfg["format"] = "tsv"  # the flag wins over the file
+    path = write_config(tmp_path, cfg)
+    result = CliRunner().invoke(
+        main, ["score", "--config", path, "--estimators", "gemba", "--format", "jsonl"]
+    )
+    assert result.exit_code == 0, result.stderr
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    gemba = summary["estimators"]["gemba"]
+    assert (gemba["total"], gemba["parsed"], gemba["errored"]) == (4, 4, 0)
+
+
 # report -------------------------------------------------------------------------
 
 def run_score_then_report(tmp_path, *, extra_judgments: str = "", human: dict | None = None):
@@ -253,6 +313,24 @@ def test_report_pairwise_accuracy_section(tmp_path):
     )
     assert "## System-level pairwise accuracy" in markdown
     assert "| gemba | de-en | 100.0% |" in markdown
+
+
+@pytest.mark.parametrize("value", ["high", True])
+def test_report_rejects_non_numeric_human_scores(tmp_path, value):
+    cfg = write_tiny_corpus(tmp_path)
+    path = write_config(tmp_path, cfg)
+    runner = CliRunner()
+    assert runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"]).exit_code == 0
+    human_path = tmp_path / "human.json"
+    human_path.write_text(json.dumps({"de-en": {"sysA": value, "sysB": 1.0}}), encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["report", "--scores", str(tmp_path / "out"),
+         "--judgments", cfg["judgments"], "--human-scores", str(human_path)],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "human scores must be {lp: {system: number}}" in result.stderr
 
 
 def test_report_fraction_rendering(tmp_path):
