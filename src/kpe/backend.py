@@ -1,19 +1,22 @@
 """Completion providers, response cache, and the bounded batch executor.
 
-The HTTP provider speaks the common chat-completions wire shape. The mock
-provider grades deterministically from pseudo-reference fixtures so the
-whole harness runs offline. Both sit behind the same two-method surface
-(`provider_id`, `complete`). `cached_complete` (one prompt) and `run_batch`
-(many) share one fill path. The cache keys responses by a content digest
-over (model, template id, template version, final prompt text, generation
-parameters). Cache entries are plain JSON files, written atomically, and
-verified against their digest on every read; anything that fails the check
-is quarantined and treated as a miss.
+The HTTP provider speaks the common chat-completions wire shape, by default
+over the keep-alive transport in `kpe.transport`. The mock provider grades
+deterministically from pseudo-reference fixtures so the whole harness runs
+offline. Both sit behind the same two-method surface (`provider_id`,
+`complete`).
+`cached_complete` (one prompt) and `run_batch` (many) share one fill path.
+The cache keys responses by a content digest over (model, template id,
+template version, final prompt text, generation parameters). Cache entries
+are plain JSON files, written atomically, and verified against their digest
+on every read; anything that fails the check is quarantined and treated as
+a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -273,9 +276,13 @@ class HttpProvider:
 
     Retries transport failures, 408, 429 and 5xx up to max_attempts with
     delays retry_base_s * 2**attempt. 401/403 raise AuthError immediately;
-    other 4xx raise ProviderError. The session and sleep function are
-    injectable for tests. requests is imported here, not at module load,
-    so only runs that use this provider pay for it.
+    other 4xx raise ProviderError. The sleep function and the session are
+    injectable for tests: a session is any object with post(url, json=,
+    headers=, timeout=) returning a response with .status_code and .json().
+    The default is kpe.transport.KeepAliveTransport, which holds at most one
+    connection per request in flight and reuses it across batches; close it
+    with provider.session.close(). OSError (which a requests exception is)
+    and http.client.HTTPException from the session are transport failures.
     """
 
     def __init__(
@@ -288,11 +295,14 @@ class HttpProvider:
         max_attempts: int = 5,
         timeout_s: float = 60.0,
     ) -> None:
-        import requests
-
         self.endpoint_url = endpoint_url
         self.api_key = api_key
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            # imported here, so that runs without this provider never load it
+            from .transport import KeepAliveTransport
+
+            session = KeepAliveTransport()
+        self.session = session
         self.sleep = sleep
         self.retry_base_s = retry_base_s
         self.max_attempts = max_attempts
@@ -303,8 +313,6 @@ class HttpProvider:
         self.attempts = 0
 
     def complete(self, prompt: RenderedPrompt, params: GenParams) -> str:
-        import requests
-
         with self._lock:
             self.calls += 1
         payload = {
@@ -329,7 +337,7 @@ class HttpProvider:
                 resp = self.session.post(
                     self.endpoint_url, json=payload, headers=headers, timeout=self.timeout_s
                 )
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = TransportError(f"transport failure: {exc}")
                 continue
             status = getattr(resp, "status_code", 0)

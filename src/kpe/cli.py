@@ -49,7 +49,13 @@ from .corpus import (
     load_system_outputs,
 )
 from .errors import ConfigError, InsufficientSystemsError, KpeError
-from .metrics import kendall_tau_rr, pairwise_accuracy, score_distribution, system_score
+from .metrics import (
+    DROP_POLICIES,
+    kendall_tau_rr,
+    pairwise_accuracy,
+    score_distribution,
+    system_score,
+)
 from .prompting import builtin_templates
 
 PROVIDERS = ("http", "mock")
@@ -537,7 +543,7 @@ def _human_accuracy_rows(tables, human_scores, warnings) -> list[tuple]:
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="tsv")
 @click.option("--human-scores", type=str, default=None,
               help="JSON file {lp: {system: score}} for pairwise accuracy.")
-@click.option("--drop-policy", type=click.Choice(["drop", "middle"]), default="drop")
+@click.option("--drop-policy", type=click.Choice(DROP_POLICIES), default="drop")
 @click.option("--out", type=str, default=None,
               help="Output directory (default: the scores directory).")
 def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:

@@ -24,6 +24,9 @@ from .errors import EmptySystemError, InsufficientSystemsError
 
 _MIDDLE_FOR_MODE = {"cat5": 2, "cat3": 1, "stars": 3, "scalar": 50.0}
 
+# What kendall_tau_rr does with a judgment whose score is missing or errored.
+DROP_POLICIES = ("drop", "middle")
+
 
 @dataclass(frozen=True)
 class KendallSummary:
@@ -53,7 +56,7 @@ def kendall_tau_rr(
     concordant + discordant + excluded always equals the number of
     judgments seen for that lp.
     """
-    if drop_policy not in ("drop", "middle"):
+    if drop_policy not in DROP_POLICIES:
         raise ValueError(f"unknown drop policy {drop_policy!r}")
     middle = _MIDDLE_FOR_MODE[table.estimator.scoring_mode]
     tallies: dict[str, list[int]] = {}  # lp -> [concordant, discordant, excluded]

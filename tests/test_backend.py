@@ -6,7 +6,6 @@ import time
 from pathlib import Path
 
 import pytest
-import requests
 
 import kpe.backend
 from kpe.backend import (
@@ -271,7 +270,7 @@ def test_http_rate_limit_exhausts_attempts():
 
 def test_http_transport_errors_retried():
     provider, _, _ = _provider(
-        [requests.ConnectionError("boom"), FakeResponse(408), _ok("ok")]
+        [ConnectionError("boom"), FakeResponse(408), _ok("ok")]
     )
     assert provider.complete(_prompt("x"), PARAMS) == "ok"
 
@@ -505,6 +504,20 @@ def test_run_batch_captures_item_failures(tmp_path):
     assert isinstance(results[2], CompletionFailure)
     assert results[2].error_kind == "ProviderError"
     assert all(isinstance(r, CompletionResult) for i, r in enumerate(results) if i != 2)
+
+
+def test_run_batch_cache_write_failure_stops_the_batch(tmp_path):
+    # a failed put is not a per-item failure: it ends the batch, and the
+    # misses not yet started are never sent
+    class FailingCache(FileCache):
+        def put(self, entry):
+            raise OSError("disk full")
+
+    provider = CountingProvider()
+    prompts = [_prompt(f"q{i}") for i in range(50)]
+    with pytest.raises(OSError, match="disk full"):
+        run_batch(provider, FailingCache(tmp_path / "cache"), prompts, PARAMS, max_in_flight=2)
+    assert 1 <= provider.calls <= 2 + 1
 
 
 def test_run_batch_without_cache():

@@ -141,7 +141,7 @@ def test_score_rejects_bad_config_value(tmp_path, monkeypatch, key, value):
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # only the http provider needs requests; every other command skips its import cost
+    # kpe does not depend on requests; importing the CLI must not load it
     src = str(Path(kpe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
