@@ -3,11 +3,13 @@
 The tokenizer splits on whitespace, detaches leading/trailing punctuation
 as their own tokens, and splits CJK runs per character. The aligner asks a
 provider for one similarity percentage per (source token, translation
-token) via the kpe_token_align template, parses the response matrix, and
-scales to [0, 1]; out-of-range cells are clamped and counted rather than
-failing the whole matrix. The heatmap is a deterministic, self-contained
-SVG: one rect per cell on a white-to-black linear scale, axis labels, and
-the exact score as hover text.
+token) via the kpe_token_align template, one prompt per pair and every
+pair of a call in one run_batch, parses the response matrix, and scales
+to [0, 1]; out-of-range cells are clamped and counted rather than failing
+the whole matrix. A pair that fails gets its own error; the others still
+align. The heatmap is a deterministic, self-contained SVG: one rect per
+cell on a white-to-black linear scale, axis labels, and the exact score as
+hover text.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
-from .backend import FileCache, GenParams, cached_complete
+from .backend import CompletionFailure, FileCache, GenParams, run_batch
 from .errors import (
     EmptyInputError,
     InputTooLargeError,
+    KpeError,
     MatrixShapeError,
     TooManyTokensError,
     ValueParseError,
@@ -153,6 +156,64 @@ def _parse_matrix_text(
     return tuple(rows), clamped
 
 
+def align_pairs(
+    pairs: list[tuple[TokenList, TokenList]],
+    provider,
+    cache: FileCache | None = None,
+    *,
+    params: GenParams,
+    max_in_flight: int = 4,
+) -> list[AlignmentMatrix | KpeError]:
+    """Elicit each (source, translation) pair's similarity matrix in one run_batch.
+
+    Every pair gets one prompt; results come back in input order. A pair
+    that cannot be aligned gets its own KpeError in its slot: an empty axis
+    or a grid over MAX_GRID_CELLS (no prompt is sent), the provider's error,
+    or a malformed matrix.
+    """
+    template = builtin_templates().get("kpe_token_align")
+    results: list[AlignmentMatrix | KpeError | None] = [None] * len(pairs)
+    asked: list[int] = []
+    prompts = []
+    for i, (src_tokens, mt_tokens) in enumerate(pairs):
+        n_src, n_mt = len(src_tokens), len(mt_tokens)
+        if n_src == 0 or n_mt == 0:
+            results[i] = EmptyInputError("alignment needs at least one token on each axis")
+        elif n_src * n_mt > MAX_GRID_CELLS:
+            results[i] = InputTooLargeError(
+                f"{n_src} x {n_mt} = {n_src * n_mt} cells exceeds {MAX_GRID_CELLS}"
+            )
+        else:
+            asked.append(i)
+            prompts.append(render_template(
+                template,
+                {
+                    "source_seg": render_token_list(src_tokens.tokens),
+                    "target_seg": render_token_list(mt_tokens.tokens),
+                },
+            ))
+    outcomes = run_batch(provider, cache, prompts, params, max_in_flight)
+    for i, outcome in zip(asked, outcomes):
+        if isinstance(outcome, CompletionFailure):
+            results[i] = outcome.exception
+            continue
+        src_tokens, mt_tokens = pairs[i]
+        try:
+            cells, clamped = _parse_matrix_text(outcome.text, len(src_tokens), len(mt_tokens))
+        except (MatrixShapeError, ValueParseError) as exc:
+            results[i] = exc
+            continue
+        if clamped:
+            log.warning("clamped %d alignment cells into [0, 1]", clamped)
+        results[i] = AlignmentMatrix(
+            src_tokens=src_tokens.tokens,
+            mt_tokens=mt_tokens.tokens,
+            cells=cells,
+            clamped=clamped,
+        )
+    return results  # type: ignore[return-value]
+
+
 def align_tokens(
     src_tokens: TokenList,
     mt_tokens: TokenList,
@@ -161,32 +222,11 @@ def align_tokens(
     *,
     params: GenParams,
 ) -> AlignmentMatrix:
-    """Elicit the full similarity matrix with a single prompt."""
-    n_src, n_mt = len(src_tokens), len(mt_tokens)
-    if n_src == 0 or n_mt == 0:
-        raise EmptyInputError("alignment needs at least one token on each axis")
-    if n_src * n_mt > MAX_GRID_CELLS:
-        raise InputTooLargeError(
-            f"{n_src} x {n_mt} = {n_src * n_mt} cells exceeds {MAX_GRID_CELLS}"
-        )
-    template = builtin_templates().get("kpe_token_align")
-    prompt = render_template(
-        template,
-        {
-            "source_seg": render_token_list(src_tokens.tokens),
-            "target_seg": render_token_list(mt_tokens.tokens),
-        },
-    )
-    result = cached_complete(provider, cache, prompt, params)
-    cells, clamped = _parse_matrix_text(result.text, n_src, n_mt)
-    if clamped:
-        log.warning("clamped %d alignment cells into [0, 1]", clamped)
-    return AlignmentMatrix(
-        src_tokens=src_tokens.tokens,
-        mt_tokens=mt_tokens.tokens,
-        cells=cells,
-        clamped=clamped,
-    )
+    """Elicit the full similarity matrix with a single prompt; raise what failed it."""
+    result = align_pairs([(src_tokens, mt_tokens)], provider, cache, params=params)[0]
+    if isinstance(result, KpeError):
+        raise result
+    return result
 
 
 def greedy_alignment(matrix: AlignmentMatrix) -> list[tuple[int, int, float]]:
@@ -242,12 +282,13 @@ def render_heatmap(matrix: AlignmentMatrix) -> str:
         y = top - 6
         parts.append(
             f'<text x="{x}" y="{y}" {style} text-anchor="start" '
-            f'transform="rotate(-45 {x} {y})">{escape(token)}</text>'
+            f'transform="rotate(-45 {x} {y})">{escape(token, quote=False)}</text>'
         )
     for i, token in enumerate(matrix.src_tokens):
         y = top + i * _CELL + _CELL // 2 + _FONT // 2
         parts.append(
-            f'<text x="{left - 6}" y="{y}" {style} text-anchor="end">{escape(token)}</text>'
+            f'<text x="{left - 6}" y="{y}" {style} text-anchor="end">'
+            f"{escape(token, quote=False)}</text>"
         )
     for i in range(n_src):
         for j in range(n_mt):
@@ -255,7 +296,7 @@ def render_heatmap(matrix: AlignmentMatrix) -> str:
             x = left + j * _CELL
             y = top + i * _CELL
             title = escape(
-                f"{matrix.src_tokens[i]} / {matrix.mt_tokens[j]}: {score:.4f}"
+                f"{matrix.src_tokens[i]} / {matrix.mt_tokens[j]}: {score:.4f}", quote=False
             )
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '

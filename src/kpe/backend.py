@@ -5,12 +5,12 @@ over the keep-alive transport in `kpe.transport`. The mock provider grades
 deterministically from pseudo-reference fixtures so the whole harness runs
 offline. Both sit behind the same two-method surface (`provider_id`,
 `complete`).
-`cached_complete` (one prompt) and `run_batch` (many) share one fill path.
-The cache keys responses by a content digest over (model, template id,
-template version, final prompt text, generation parameters). Cache entries
-are plain JSON files, written atomically, and verified against their digest
-on every read; anything that fails the check is quarantined and treated as
-a miss.
+`run_batch` is the one caller of a provider and of the cache, and
+`cached_complete` is its one-prompt case. The cache keys responses by a
+content digest over (model, template id, template version, final prompt
+text, generation parameters). Cache entries are plain JSON files, written
+atomically, and verified against their digest on every read; anything
+that fails the check is quarantined and treated as a miss.
 """
 
 from __future__ import annotations
@@ -217,25 +217,13 @@ class FileCache:
         log.warning("quarantined corrupt cache entry %s", path.name)
 
     def put(self, entry: CacheEntry) -> None:
-        """Atomic write: temp file in the target directory, then rename."""
+        """Atomic write of the entry's fields as one JSON object: temp file, then rename."""
         path = self._path(entry.request_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "request_digest": entry.request_digest,
-            "model_id": entry.model_id,
-            "template_id": entry.template_id,
-            "template_version": entry.template_version,
-            "final_text": entry.final_text,
-            "temperature": entry.temperature,
-            "max_tokens": entry.max_tokens,
-            "stop": list(entry.stop) if entry.stop is not None else None,
-            "completion_text": entry.completion_text,
-            "created_at": entry.created_at,
-        }
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+                json.dump(vars(entry), fh, ensure_ascii=False, sort_keys=True)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -557,66 +545,6 @@ class MockProvider:
 
 # cached completion and batching ----------------------------------------------
 
-def _hit(provider, entry: CacheEntry) -> CompletionResult:
-    return CompletionResult(
-        text=entry.completion_text,
-        provider_id=provider.provider_id,
-        from_cache=True,
-        latency_ms=0,
-        request_digest=entry.request_digest,
-    )
-
-
-def _fill(
-    provider,
-    cache: FileCache | None,
-    prompt: RenderedPrompt,
-    params: GenParams,
-    digest: str,
-) -> CompletionResult:
-    """Call the provider, time it, and store the answer under digest."""
-    started = time.monotonic()
-    text = provider.complete(prompt, params)
-    latency_ms = int((time.monotonic() - started) * 1000)
-    if cache is not None:
-        cache.put(
-            CacheEntry(
-                request_digest=digest,
-                model_id=params.model_id,
-                template_id=prompt.template_id,
-                template_version=prompt.version,
-                final_text=prompt.final_text,
-                temperature=params.temperature,
-                max_tokens=params.max_tokens,
-                stop=params.stop,
-                completion_text=text,
-                created_at=time.time(),
-            )
-        )
-    return CompletionResult(
-        text=text,
-        provider_id=provider.provider_id,
-        from_cache=False,
-        latency_ms=latency_ms,
-        request_digest=digest,
-    )
-
-
-def cached_complete(
-    provider,
-    cache: FileCache | None,
-    prompt: RenderedPrompt,
-    params: GenParams,
-) -> CompletionResult:
-    """Serve from the cache when possible, else call the provider and store."""
-    digest = request_digest(prompt, params)
-    if cache is not None:
-        entry = cache.get(digest)
-        if entry is not None:
-            return _hit(provider, entry)
-    return _fill(provider, cache, prompt, params, digest)
-
-
 # Smallest batch the corruption-storm rule applies to. In a smaller batch (a
 # single-pair estimate, say) one corrupt file would already be "more than
 # half", so there corrupt entries are only quarantined and asked again.
@@ -670,7 +598,13 @@ def run_batch(
         if entry is None:
             misses.append((digest, members))
         else:
-            settle(members, _hit(provider, entry))
+            settle(members, CompletionResult(
+                text=entry.completion_text,
+                provider_id=provider.provider_id,
+                from_cache=True,
+                latency_ms=0,
+                request_digest=digest,
+            ))
     if cache is not None and n >= STORM_MIN_BATCH:
         if (cache.corruptions - corruption_base) * 2 > n:
             raise CacheCorruptionError(
@@ -681,8 +615,10 @@ def run_batch(
 
     def complete(miss: tuple[str, list[int]]) -> CompletionResult | CompletionFailure:
         digest, members = miss
+        prompt = prompts[members[0]]
+        started = time.monotonic()
         try:
-            return _fill(provider, cache, prompts[members[0]], params, digest)
+            text = provider.complete(prompt, params)
         except KpeError as exc:
             return CompletionFailure(
                 error_kind=type(exc).__name__,
@@ -690,8 +626,44 @@ def run_batch(
                 request_digest=digest,
                 exception=exc,
             )
+        latency_ms = int((time.monotonic() - started) * 1000)
+        if cache is not None:
+            cache.put(
+                CacheEntry(
+                    request_digest=digest,
+                    model_id=params.model_id,
+                    template_id=prompt.template_id,
+                    template_version=prompt.version,
+                    final_text=prompt.final_text,
+                    temperature=params.temperature,
+                    max_tokens=params.max_tokens,
+                    stop=params.stop,
+                    completion_text=text,
+                    created_at=time.time(),
+                )
+            )
+        return CompletionResult(
+            text=text,
+            provider_id=provider.provider_id,
+            from_cache=False,
+            latency_ms=latency_ms,
+            request_digest=digest,
+        )
 
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         for (_digest, members), outcome in zip(misses, pool.map(complete, misses)):
             settle(members, outcome)
     return results  # type: ignore[return-value]
+
+
+def cached_complete(
+    provider,
+    cache: FileCache | None,
+    prompt: RenderedPrompt,
+    params: GenParams,
+) -> CompletionResult:
+    """run_batch on one prompt; a provider failure is raised as the provider's own error."""
+    outcome = run_batch(provider, cache, [prompt], params, max_in_flight=1)[0]
+    if isinstance(outcome, CompletionFailure):
+        raise outcome.exception
+    return outcome

@@ -7,9 +7,10 @@ setting's default, JSON type and allowed values, against which
 build_run_config checks every value. The provider API key is read from
 the KPE_API_KEY environment variable only, never from config or flags.
 
-Exit codes: 0 success; 1 config, IO or provider-unreachable errors;
-2 finished but the scoring error rate exceeded the threshold (or an
-alignment failed to parse).
+Exit codes: 0 success; 1 config or IO errors, or provider unreachable
+(nothing scored or aligned, and a provider error among the failures);
+2 finished but the scoring error rate exceeded the threshold, or some
+segment failed to align.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NoReturn, get_args, get_type_hints
 import click
 
 from . import __version__
-from .alignment import align_tokens, render_heatmap, tokenize
+from .alignment import align_pairs, render_heatmap, tokenize
 from .backend import FileCache, GenParams, HttpProvider, MockFixtures, MockProvider
 # perfbench/tracing.py wraps _build_provider, score_dataset, the corpus loaders,
 # load_score_file and kendall_tau_rr as attributes of this module: keep them here.
@@ -60,7 +61,8 @@ from .prompting import builtin_templates
 
 PROVIDERS = ("http", "mock")
 
-_PROVIDER_UNREACHABLE_KINDS = (": TransportError: ", ": AuthError: ", ": RateLimitError: ")
+# A run that produced nothing and failed with one of these errors exits 1.
+_PROVIDER_UNREACHABLE = ("TransportError", "AuthError", "RateLimitError")
 
 
 @dataclass
@@ -100,6 +102,14 @@ class RunConfig:
             raise ConfigError("max_in_flight must be >= 1")
         if self.provider == "http" and not self.endpoint_url:
             raise ConfigError("http provider needs endpoint_url")
+        if self.provider == "http":
+            from urllib.parse import urlsplit
+
+            url = urlsplit(self.endpoint_url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigError(
+                    f"endpoint_url must be an http(s) URL with a host, got {self.endpoint_url!r}"
+                )
         if self.provider == "http" and not self.model_id:
             raise ConfigError("http provider needs model_id")
         if self.provider == "mock" and not self.mock_fixtures:
@@ -352,15 +362,9 @@ def score(config_path, **flags) -> None:
         json.dump(summary, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
 
-    parsed = sum(t.n_parsed for t in tables.values())
-    if total and parsed == 0:
-        notes = [
-            s.error
-            for t in tables.values()
-            for s in t.scores.values()
-            if s.error is not None
-        ]
-        if any(kind in note for note in notes for kind in _PROVIDER_UNREACHABLE_KINDS):
+    if total and not any(t.n_parsed for t in tables.values()):
+        notes = [s.error or "" for t in tables.values() for s in t.scores.values()]
+        if any(f": {kind}: " in note for note in notes for kind in _PROVIDER_UNREACHABLE):
             _fail("provider unreachable: no pair scored; see score files for details")
     rate = (errored / total) if total else 0.0
     if rate > cfg.error_rate_threshold:
@@ -624,25 +628,30 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = FileCache(cfg.effective_cache_dir())
-    params = cfg.gen_params()
-    failures = 0
+    tokens = []  # per --seg: (source, translation) tokens, or the error tokenizing them
     for seg_id in seg_ids:
         segment = dataset.get_segment(lp, seg_id)
         output = dataset.get_output(lp, system_id, seg_id)
         try:
-            matrix = align_tokens(
-                tokenize(segment.src_text),
-                tokenize(output.mt_text),
-                provider,
-                cache,
-                params=params,
-            )
+            tokens.append((tokenize(segment.src_text), tokenize(output.mt_text)))
         except KpeError as exc:
-            click.echo(f"error: {lp}/{system_id}/{seg_id}: {exc}", err=True)
-            if type(exc).__name__ in ("TransportError", "AuthError", "RateLimitError"):
-                sys.exit(1)
-            failures += 1
+            tokens.append(exc)
+    try:
+        aligned = iter(align_pairs(
+            [pair for pair in tokens if not isinstance(pair, KpeError)],
+            provider,
+            FileCache(cfg.effective_cache_dir()),
+            params=cfg.gen_params(),
+            max_in_flight=cfg.max_in_flight,
+        ))
+    except (KpeError, OSError) as exc:
+        _fail(str(exc))
+    failures = []
+    for seg_id, pair in zip(seg_ids, tokens):
+        matrix = pair if isinstance(pair, KpeError) else next(aligned)
+        if isinstance(matrix, KpeError):
+            click.echo(f"error: {lp}/{system_id}/{seg_id}: {matrix}", err=True)
+            failures.append(type(matrix).__name__)
             continue
         base = out_dir / f"{lp}_{system_id}_{seg_id}"
         with open(f"{base}.svg", "w", encoding="utf-8", newline="\n") as fh:
@@ -660,6 +669,8 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
             json.dump(sidecar, fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
         click.echo(f"wrote {base}.svg", err=True)
+    if len(failures) == len(seg_ids) and any(kind in _PROVIDER_UNREACHABLE for kind in failures):
+        _fail("provider unreachable: no heatmap written")
     if failures:
         sys.exit(2)
 

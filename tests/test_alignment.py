@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,17 +12,19 @@ from kpe.alignment import (
     AlignmentMatrix,
     TokenList,
     _parse_matrix_text,
+    align_pairs,
     align_tokens,
     greedy_alignment,
     render_heatmap,
     tokenize,
 )
-from kpe.backend import GenParams, MockProvider
+from kpe.backend import FileCache, GenParams, MockProvider
 from kpe.errors import (
     EmptyInputError,
     InputTooLargeError,
     MatrixShapeError,
     TooManyTokensError,
+    TransportError,
     ValueParseError,
 )
 
@@ -130,6 +134,94 @@ def test_align_tokens_grid_guard():
     assert 33 * 33 > MAX_GRID_CELLS
     with pytest.raises(InputTooLargeError):
         align_tokens(big, big, MockProvider(), params=PARAMS)
+
+
+class TrackingProvider(MockProvider):
+    """Mock alignment answers, slowed down, recording how many calls overlap.
+
+    A source token "down" makes the call raise TransportError; "garble"
+    answers one row too few; "junk" answers a cell that is not a number.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.active = 0
+        self.peak = 0
+        self.seen: list[str] = []
+        self.raised: list[TransportError] = []
+        self._gauge = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._gauge:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.seen.append(prompt.final_text)
+        try:
+            time.sleep(0.02)
+            source = prompt.bindings["source_seg"]
+            if "down" in source:
+                self.raised.append(TransportError("connection refused"))
+                raise self.raised[-1]
+            text = super().complete(prompt, params)
+            if "garble" in source:
+                return text.split("\n", 1)[1]
+            if "junk" in source:
+                return text.replace("2", "n/a", 1)
+            return text
+        finally:
+            with self._gauge:
+                self.active -= 1
+
+
+def _pair(src: str, mt: str) -> tuple[TokenList, TokenList]:
+    return tokenize(src), tokenize(mt)
+
+
+def test_align_pairs_sends_each_unique_prompt_once_within_max_in_flight(tmp_path):
+    unique = [_pair(f"he came home {i} .", f"he arrived home {i} .") for i in range(5)]
+    pairs = unique + [unique[0], unique[3], unique[0]]
+    provider = TrackingProvider()
+    results = align_pairs(
+        pairs, provider, FileCache(tmp_path / "cache"), params=PARAMS, max_in_flight=2
+    )
+    assert provider.calls == len(set(provider.seen)) == 5
+    assert provider.peak <= 2
+    for (src, mt), matrix in zip(pairs, results):
+        assert matrix == align_tokens(src, mt, MockProvider(), params=PARAMS)
+
+
+def test_align_pairs_warm_rerun_makes_no_calls(tmp_path):
+    pairs = [_pair(f"he came home {i} .", f"he arrived home {i} .") for i in range(4)]
+    cold = align_pairs(pairs, MockProvider(), FileCache(tmp_path / "cache"), params=PARAMS)
+    provider = MockProvider()
+    warm = align_pairs(pairs, provider, FileCache(tmp_path / "cache"), params=PARAMS)
+    assert provider.calls == 0
+    assert warm == cold
+
+
+def test_align_pairs_failures_stay_in_their_slots():
+    big = TokenList(tokens=tuple(f"t{i}" for i in range(33)))
+    clean = [_pair("he came .", "he arrived ."), _pair("a b", "a c")]
+    pairs = [
+        clean[0],
+        (big, big),
+        _pair("down we go", "down we went"),
+        (TokenList(tokens=()), tokenize("x")),
+        _pair("garble this", "garble that"),
+        _pair("junk here", "junk there"),
+        clean[1],
+    ]
+    provider = TrackingProvider()
+    results = align_pairs(pairs, provider, params=PARAMS)
+    assert isinstance(results[1], InputTooLargeError)
+    assert results[2] is provider.raised[0]
+    assert isinstance(results[3], EmptyInputError)
+    assert isinstance(results[4], MatrixShapeError)
+    assert isinstance(results[5], ValueParseError)
+    # the guarded pairs are never sent
+    assert len(provider.seen) == 5
+    expected = align_pairs(clean, MockProvider(), params=PARAMS)
+    assert [results[0], results[6]] == expected
 
 
 def test_greedy_alignment_prefers_lowest_source_index_on_tie():

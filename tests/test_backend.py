@@ -474,6 +474,21 @@ def test_cached_complete_hit_and_miss(tmp_path):
     assert provider.calls == 1
 
 
+def test_cached_complete_reraises_the_provider_error(tmp_path):
+    error = TransportError("connection refused")
+
+    class DownProvider:
+        provider_id = "down"
+
+        def complete(self, prompt, params):
+            raise error
+
+    with pytest.raises(TransportError) as info:
+        cached_complete(DownProvider(), FileCache(tmp_path / "cache"), _prompt("q"), PARAMS)
+    assert info.value is error
+    assert not (tmp_path / "cache").exists()
+
+
 def test_run_batch_coalesces_duplicates(tmp_path):
     cache = FileCache(tmp_path / "cache")
     provider = CountingProvider()

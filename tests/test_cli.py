@@ -11,9 +11,12 @@ import pytest
 from click.testing import CliRunner
 
 import kpe
+import kpe.alignment
+import kpe.cli
+from kpe.backend import MockProvider
 from kpe.cli import RunConfig, build_run_config, main, parse_max_age
 from kpe.corpus import load_dataset, save_dataset_jsonl
-from kpe.errors import ConfigError
+from kpe.errors import ConfigError, TransportError
 
 REF_S1 = "der hund laeuft schnell heute"
 REF_S2 = "die katze schlaeft gerne hier"
@@ -60,6 +63,24 @@ def write_config(root: Path, cfg: dict) -> str:
 
 
 # config plumbing -------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["score", "align"])
+@pytest.mark.parametrize("url", ["htp://api.example.test/v1", "http:///v1", "ftp://host/"])
+def test_malformed_endpoint_url_is_a_config_error(tmp_path, monkeypatch, command, url):
+    built = []
+    monkeypatch.setattr(kpe.cli, "HttpProvider", lambda **kwargs: built.append(kwargs))
+    cfg = write_tiny_corpus(tmp_path)
+    cfg.update(provider="http", endpoint_url=url, model_id="model-x")
+    args = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "align":
+        args += ["--lp", "de-en", "--system", "sysA", "--seg", "s1"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "endpoint_url" in result.stderr
+    assert built == []
+
 
 def test_parse_max_age_units():
     assert parse_max_age("3600") == 3600.0
@@ -141,14 +162,18 @@ def test_score_rejects_bad_config_value(tmp_path, monkeypatch, key, value):
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # kpe does not depend on requests; importing the CLI must not load it
+    # kpe does not depend on requests, and escapes SVG text with html.escape:
+    # importing the CLI must load neither requests nor xml.sax (which loads
+    # urllib.request)
     src = str(Path(kpe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    modules = ["requests", "xml.sax", "urllib.request"]
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, kpe.cli; print('requests' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, kpe.cli; print([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_version_flag():
@@ -371,6 +396,83 @@ def test_align_writes_svg_and_sidecar(tmp_path):
     assert sidecar["src_tokens"] == ["quelle", "eins"]
     assert sidecar["mt_tokens"] == REF_S1.split()
     assert len(sidecar["cells"]) == 2
+
+
+def _align(cfg: dict, root: Path, *segs: str, flags: tuple[str, ...] = ()):
+    args = ["align", "--config", write_config(root, cfg), "--lp", "de-en", "--system", "sysA"]
+    for seg in segs:
+        args += ["--seg", seg]
+    return CliRunner().invoke(main, args + list(flags))
+
+
+def _provider_down(monkeypatch, source_word: str | None = None) -> None:
+    """Make the mock provider raise TransportError (only for sources holding source_word)."""
+    original = MockProvider.complete
+
+    def complete(self, prompt, params):
+        if source_word is None or source_word in prompt.bindings["source_seg"]:
+            raise TransportError("connection refused")
+        return original(self, prompt, params)
+
+    monkeypatch.setattr(MockProvider, "complete", complete)
+
+
+def test_align_sends_every_segment_in_one_bounded_batch(tmp_path, monkeypatch):
+    batches = []
+    original = kpe.alignment.run_batch
+
+    def recording(provider, cache, prompts, params, max_in_flight=4):
+        results = original(provider, cache, prompts, params, max_in_flight)
+        batches.append((len(prompts), max_in_flight, [r.from_cache for r in results]))
+        return results
+
+    monkeypatch.setattr(kpe.alignment, "run_batch", recording)
+    cfg = write_tiny_corpus(tmp_path)
+    result = _align(cfg, tmp_path, "s1", "s2", "s1", flags=("--max-in-flight", "3"))
+    assert result.exit_code == 0, result.stderr
+    # the repeated segment's prompt is coalesced with the first one
+    assert batches == [(3, 3, [False, False, True])]
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("provider", "connection refused"),
+    ("empty_mt", "cannot tokenize an empty sentence"),
+])
+def test_align_failed_segment_leaves_the_others_written(tmp_path, monkeypatch, failure, message):
+    cfg = write_tiny_corpus(tmp_path)
+    single = _align(dict(cfg, out=str(tmp_path / "single")), tmp_path, "s1")
+    assert single.exit_code == 0, single.stderr
+
+    if failure == "provider":
+        _provider_down(monkeypatch, "zwei")
+    else:
+        with open(cfg["outputs"], "a", encoding="utf-8") as fh:
+            fh.write("de-en\tsysA\ts3\t\n")
+        with open(cfg["segments"], "a", encoding="utf-8") as fh:
+            fh.write("de-en\ts3\tquelle drei\n")
+    failing = "s2" if failure == "provider" else "s3"
+    result = _align(cfg, tmp_path, "s1", failing)
+    assert result.exit_code == 2
+    assert [line for line in result.stderr.splitlines() if line.startswith("error: ")] == [
+        f"error: de-en/sysA/{failing}: {message}"
+    ]
+    for suffix in (".svg", ".json"):
+        name = f"de-en_sysA_s1{suffix}"
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+        assert not (tmp_path / "out" / f"de-en_sysA_{failing}{suffix}").exists()
+
+
+def test_align_provider_unreachable_exits_1(tmp_path, monkeypatch):
+    _provider_down(monkeypatch)
+    result = _align(write_tiny_corpus(tmp_path), tmp_path, "s1", "s2")
+    assert result.exit_code == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == [
+        "error: de-en/sysA/s1: connection refused",
+        "error: de-en/sysA/s2: connection refused",
+        "error: provider unreachable: no heatmap written",
+    ]
+    assert list((tmp_path / "out").glob("*.svg")) == []
 
 
 def test_align_unknown_segment_exits_1(tmp_path):
