@@ -167,9 +167,9 @@ def align_pairs(
     """Elicit each (source, translation) pair's similarity matrix in one run_batch.
 
     Every pair gets one prompt; results come back in input order. A pair
-    that cannot be aligned gets its own KpeError in its slot: an empty axis
-    or a grid over MAX_GRID_CELLS (no prompt is sent), the provider's error,
-    or a malformed matrix.
+    that cannot be aligned gets its own KpeError in its slot: an empty axis,
+    an axis over MAX_AXIS_TOKENS or a grid over MAX_GRID_CELLS (no prompt is
+    sent), the provider's error, or a malformed matrix.
     """
     template = builtin_templates().get("kpe_token_align")
     results: list[AlignmentMatrix | KpeError | None] = [None] * len(pairs)
@@ -179,6 +179,10 @@ def align_pairs(
         n_src, n_mt = len(src_tokens), len(mt_tokens)
         if n_src == 0 or n_mt == 0:
             results[i] = EmptyInputError("alignment needs at least one token on each axis")
+        elif n_src > MAX_AXIS_TOKENS or n_mt > MAX_AXIS_TOKENS:
+            results[i] = TooManyTokensError(
+                f"axis limit is {MAX_AXIS_TOKENS} tokens, got {n_src} x {n_mt}"
+            )
         elif n_src * n_mt > MAX_GRID_CELLS:
             results[i] = InputTooLargeError(
                 f"{n_src} x {n_mt} = {n_src * n_mt} cells exceeds {MAX_GRID_CELLS}"

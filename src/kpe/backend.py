@@ -9,14 +9,14 @@ offline. Both sit behind the same two-method surface (`provider_id`,
 `cached_complete` is its one-prompt case. The cache keys responses by a
 content digest over (model, template id, template version, final prompt
 text, generation parameters). Cache entries are plain JSON files, written
-atomically, and verified against their digest on every read; anything
-that fails the check is quarantined and treated as a miss.
+atomically, that store the request's own fields next to the answer; a read
+is a hit only if the stored digest and fields equal the request's, and
+anything that fails the check is quarantined and treated as a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
@@ -127,28 +127,6 @@ def request_digest(prompt: RenderedPrompt, params: GenParams) -> str:
 
 # cache ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CacheEntry:
-    request_digest: str
-    model_id: str
-    template_id: str
-    template_version: int
-    final_text: str
-    temperature: float
-    max_tokens: int
-    stop: tuple[str, ...] | None
-    completion_text: str
-    created_at: float
-
-    def params(self) -> GenParams:
-        return GenParams(
-            model_id=self.model_id,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            stop=self.stop,
-        )
-
-
 class FileCache:
     """Content-addressed response cache: <dir>/<digest[:2]>/<digest>.json."""
 
@@ -163,47 +141,47 @@ class FileCache:
     def _path(self, digest: str) -> Path:
         return self.cache_dir / digest[:2] / f"{digest}.json"
 
-    def get(self, digest: str) -> CacheEntry | None:
-        """Return the verified entry, or None. Corrupt entries are quarantined."""
+    @staticmethod
+    def _request_fields(digest: str, prompt: RenderedPrompt, params: GenParams) -> dict:
+        """The stored request as JSON values: its digest and the fields hashed into it."""
+        return {
+            "request_digest": digest,
+            "model_id": params.model_id,
+            "template_id": prompt.template_id,
+            "template_version": prompt.version,
+            "final_text": prompt.final_text,
+            "temperature": params.temperature,
+            "max_tokens": params.max_tokens,
+            "stop": list(params.stop) if params.stop is not None else None,
+        }
+
+    def get(self, digest: str, prompt: RenderedPrompt, params: GenParams) -> str | None:
+        """Return the cached answer, or None. Corrupt entries are quarantined.
+
+        A hit is a JSON object that holds this request's digest and fields,
+        and a string completion_text.
+        """
         path = self._path(digest)
         try:
             # An entry can vanish at any moment (a concurrent `cache gc`, or
             # another run's quarantine), so a missing file is a miss however
             # late it went missing. Other OSErrors still raise.
-            text = path.read_text(encoding="utf-8")
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            valid = isinstance(obj["completion_text"], str) and all(
+                obj[k] == v for k, v in self._request_fields(digest, prompt, params).items()
+            )
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
             return None
-        try:
-            obj = json.loads(text)
-            entry = CacheEntry(
-                request_digest=obj["request_digest"],
-                model_id=obj["model_id"],
-                template_id=obj["template_id"],
-                template_version=int(obj["template_version"]),
-                final_text=obj["final_text"],
-                temperature=float(obj["temperature"]),
-                max_tokens=int(obj["max_tokens"]),
-                stop=tuple(obj["stop"]) if obj["stop"] is not None else None,
-                completion_text=obj["completion_text"],
-                created_at=float(obj["created_at"]),
-            )
-            recomputed = cache_key(
-                entry.model_id,
-                entry.template_id,
-                entry.template_version,
-                entry.final_text,
-                entry.params(),
-            )
-            if recomputed != digest or entry.request_digest != digest:
-                raise ValueError("digest mismatch")
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+        except (ValueError, KeyError, TypeError):  # bad UTF-8 or JSON, no object, no field
+            valid = False
+        if not valid:
             self._quarantine(path)
             return None
         with self._lock:
             self.hits += 1
-        return entry
+        return obj["completion_text"]
 
     def _quarantine(self, path: Path) -> None:
         quarantined = path.with_suffix(".json.corrupt")
@@ -216,14 +194,16 @@ class FileCache:
             self.misses += 1
         log.warning("quarantined corrupt cache entry %s", path.name)
 
-    def put(self, entry: CacheEntry) -> None:
-        """Atomic write of the entry's fields as one JSON object: temp file, then rename."""
-        path = self._path(entry.request_digest)
+    def put(self, digest: str, prompt: RenderedPrompt, params: GenParams, text: str) -> None:
+        """Atomic write of the request and its answer as one JSON object: temp file, then rename."""
+        entry = self._request_fields(digest, prompt, params)
+        entry.update(completion_text=text, created_at=time.time())
+        path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(vars(entry), fh, ensure_ascii=False, sort_keys=True)
+                json.dump(entry, fh, ensure_ascii=False, sort_keys=True)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -301,6 +281,8 @@ class HttpProvider:
         self.attempts = 0
 
     def complete(self, prompt: RenderedPrompt, params: GenParams) -> str:
+        import http.client  # here, so that importing kpe.backend never loads it
+
         with self._lock:
             self.calls += 1
         payload = {
@@ -594,12 +576,12 @@ def run_batch(
     misses: list[tuple[str, list[int]]] = []
     corruption_base = cache.corruptions if cache is not None else 0
     for digest, members in groups.items():
-        entry = cache.get(digest) if cache is not None else None
-        if entry is None:
+        text = cache.get(digest, prompts[members[0]], params) if cache is not None else None
+        if text is None:
             misses.append((digest, members))
         else:
             settle(members, CompletionResult(
-                text=entry.completion_text,
+                text=text,
                 provider_id=provider.provider_id,
                 from_cache=True,
                 latency_ms=0,
@@ -628,20 +610,7 @@ def run_batch(
             )
         latency_ms = int((time.monotonic() - started) * 1000)
         if cache is not None:
-            cache.put(
-                CacheEntry(
-                    request_digest=digest,
-                    model_id=params.model_id,
-                    template_id=prompt.template_id,
-                    template_version=prompt.version,
-                    final_text=prompt.final_text,
-                    temperature=params.temperature,
-                    max_tokens=params.max_tokens,
-                    stop=params.stop,
-                    completion_text=text,
-                    created_at=time.time(),
-                )
-            )
+            cache.put(digest, prompt, params, text)
         return CompletionResult(
             text=text,
             provider_id=provider.provider_id,

@@ -129,8 +129,6 @@ class ScoreTable:
     """All QualityScores of one estimator over one dataset run."""
 
     estimator: EstimatorKind
-    model_id: str
-    params: GenParams
     scores: dict[tuple[str, str, str], QualityScore] = field(default_factory=dict)
 
     def get(self, lp: str, system_id: str, seg_id: str) -> QualityScore | None:
@@ -212,12 +210,7 @@ def load_score_file(path: str | Path) -> ScoreTable:
             scores[(score.lp, score.system_id, score.seg_id)] = score
     if estimator is None:
         raise InputError(f"{path}: empty score file")
-    return ScoreTable(
-        estimator=estimator,
-        model_id="",
-        params=GenParams(model_id=""),
-        scores=scores,
-    )
+    return ScoreTable(estimator=estimator, scores=scores)
 
 
 @dataclass(slots=True)
@@ -419,8 +412,6 @@ def score_estimators(
     return {
         kind.name: ScoreTable(
             estimator=kind,
-            model_id=params.model_id,
-            params=params,
             scores={
                 (output.lp, output.system_id, output.seg_id): _quality_score(kind, output, state)
                 for output, state in zip(outputs, states[kind.name])

@@ -110,6 +110,10 @@ class RunConfig:
                 raise ConfigError(
                     f"endpoint_url must be an http(s) URL with a host, got {self.endpoint_url!r}"
                 )
+            try:
+                url.port
+            except ValueError as exc:  # a port that is not a number in 0..65535
+                raise ConfigError(f"endpoint_url {self.endpoint_url!r}: {exc}") from exc
         if self.provider == "http" and not self.model_id:
             raise ConfigError("http provider needs model_id")
         if self.provider == "mock" and not self.mock_fixtures:

@@ -62,8 +62,6 @@ def make_table(
 ) -> ScoreTable:
     table = ScoreTable(
         estimator=EstimatorKind(name="gemba", scoring_mode=mode),
-        model_id="mock-1",
-        params=PARAMS,
     )
     for (lp, system_id, seg_id), ordinal in ordinals.items():
         table.scores[(lp, system_id, seg_id)] = QualityScore(

@@ -9,7 +9,6 @@ import pytest
 
 import kpe.backend
 from kpe.backend import (
-    CacheEntry,
     CompletionFailure,
     CompletionResult,
     FileCache,
@@ -87,75 +86,137 @@ def test_cache_key_integer_temperature_normalized():
 
 # file cache -------------------------------------------------------------
 
-def _entry(digest_text: str = "hello") -> CacheEntry:
+ANSWER = "Class: Perfect translation"
+
+
+def _entry(digest_text: str = "hello") -> tuple[str, RenderedPrompt]:
+    """A request as the cache addresses it: its digest and its prompt."""
     prompt = _prompt(digest_text)
-    digest = request_digest(prompt, PARAMS)
-    return CacheEntry(
-        request_digest=digest,
-        model_id=PARAMS.model_id,
-        template_id=prompt.template_id,
-        template_version=prompt.version,
-        final_text=prompt.final_text,
-        temperature=PARAMS.temperature,
-        max_tokens=PARAMS.max_tokens,
-        stop=PARAMS.stop,
-        completion_text="Class: Perfect translation",
-        created_at=1000.0,
-    )
+    return request_digest(prompt, PARAMS), prompt
 
 
-def test_cache_put_get_round_trip(tmp_path):
+def _entry_path(cache: FileCache, digest: str) -> Path:
+    return cache.cache_dir / digest[:2] / f"{digest}.json"
+
+
+def test_cache_put_get_round_trip(tmp_path, monkeypatch):
     cache = FileCache(tmp_path / "cache")
-    entry = _entry()
-    cache.put(entry)
-    got = cache.get(entry.request_digest)
-    assert got == entry
+    digest, prompt = _entry()
+    monkeypatch.setattr(time, "time", lambda: 1000.0)
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    assert cache.get(digest, prompt, PARAMS) == ANSWER
     assert (cache.hits, cache.misses, cache.writes) == (1, 0, 1)
+    assert json.loads(_entry_path(cache, digest).read_text(encoding="utf-8")) == {
+        "request_digest": digest,
+        "model_id": PARAMS.model_id,
+        "template_id": prompt.template_id,
+        "template_version": prompt.version,
+        "final_text": prompt.final_text,
+        "temperature": PARAMS.temperature,
+        "max_tokens": PARAMS.max_tokens,
+        "stop": None,
+        "completion_text": ANSWER,
+        "created_at": 1000.0,
+    }
+
+
+# written by the previous cache code, which re-hashed the stored fields on read
+PARENT_CACHE = Path(__file__).parent / "data" / "cache"
+PARENT_DIGEST = "d0fdb54b82126519b1acb585c53f45625710bbf128c8d1fae80f5d54f4ea076e"
+PARENT_PARAMS = GenParams(model_id="model-x", temperature=0.7, max_tokens=64, stop=("\n", "Class:"))
+PARENT_PROMPT = RenderedPrompt(
+    template_id="kpe_sent_sim",
+    version=1,
+    final_text='source: "Grüße aus 北京"\nmachine translation: "greetings from Beijing"\nClass:',
+    bindings={},
+)
+
+
+def test_cache_reads_and_rewrites_existing_entries_unchanged(tmp_path, monkeypatch):
+    assert request_digest(PARENT_PROMPT, PARENT_PARAMS) == PARENT_DIGEST
+    stored = _entry_path(FileCache(PARENT_CACHE), PARENT_DIGEST).read_bytes()
+    old = FileCache(tmp_path / "old")
+    _entry_path(old, PARENT_DIGEST).parent.mkdir(parents=True)
+    _entry_path(old, PARENT_DIGEST).write_bytes(stored)
+    got = old.get(PARENT_DIGEST, PARENT_PROMPT, PARENT_PARAMS)
+    assert got == "Class: Mostly similar meaning"
+    assert (old.hits, old.corruptions) == (1, 0)
+
+    new = FileCache(tmp_path / "new")
+    monkeypatch.setattr(time, "time", lambda: 1786928612.027714)
+    new.put(PARENT_DIGEST, PARENT_PROMPT, PARENT_PARAMS, got)
+    assert _entry_path(new, PARENT_DIGEST).read_bytes() == stored
 
 
 def test_cache_miss_counts(tmp_path):
     cache = FileCache(tmp_path / "cache")
-    assert cache.get("0" * 64) is None
+    digest, prompt = _entry()
+    assert cache.get(digest, prompt, PARAMS) is None
     assert cache.misses == 1
 
 
 def test_cache_sharded_layout(tmp_path):
     cache = FileCache(tmp_path / "cache")
-    entry = _entry()
-    cache.put(entry)
-    digest = entry.request_digest
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, ANSWER)
     assert (tmp_path / "cache" / digest[:2] / f"{digest}.json").exists()
 
 
-def test_corrupt_entry_quarantined(tmp_path):
+def _set(key, value):
+    def edit(raw: bytes) -> bytes:
+        obj = json.loads(raw)
+        obj[key] = value
+        return json.dumps(obj).encode("utf-8")
+
+    return edit
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: b"{ not json",
+    lambda raw: raw.replace(b"Perfect", b"Perf\xffect"),  # invalid UTF-8
+    lambda raw: b"[" + raw + b"]",  # a JSON list, not an object
+    _set("completion_text", 5),  # digest and fields intact, the answer not text
+    _set("request_digest", "0" * 64),
+], ids=["not-json", "bad-utf8", "list", "answer-not-text", "digest-edited"])
+def test_corrupt_entry_quarantined(tmp_path, corrupt):
     cache = FileCache(tmp_path / "cache")
-    entry = _entry()
-    cache.put(entry)
-    path = tmp_path / "cache" / entry.request_digest[:2] / f"{entry.request_digest}.json"
-    path.write_text("{ not json", encoding="utf-8")
-    assert cache.get(entry.request_digest) is None
-    assert cache.corruptions == 1
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    path = _entry_path(cache, digest)
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert cache.get(digest, prompt, PARAMS) is None
+    assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 1)
     assert path.with_suffix(".json.corrupt").exists()
     assert not path.exists()
 
 
 def test_tampered_entry_fails_digest_check(tmp_path):
     cache = FileCache(tmp_path / "cache")
-    entry = _entry()
-    cache.put(entry)
-    path = tmp_path / "cache" / entry.request_digest[:2] / f"{entry.request_digest}.json"
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    path = _entry_path(cache, digest)
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj["final_text"] = "tampered"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    assert cache.get(entry.request_digest) is None
+    assert cache.get(digest, prompt, PARAMS) is None
+    assert cache.corruptions == 1
+
+
+def test_entry_for_another_request_is_not_a_hit(tmp_path):
+    # an entry is checked against the request asking, not only against itself
+    cache = FileCache(tmp_path / "cache")
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    hot = GenParams(model_id=PARAMS.model_id, temperature=0.7, max_tokens=PARAMS.max_tokens)
+    assert cache.get(digest, prompt, hot) is None
     assert cache.corruptions == 1
 
 
 def test_cache_entry_removed_mid_read_is_a_miss(tmp_path, monkeypatch):
     # a concurrent gc or quarantine can unlink the entry while get reads it
     cache = FileCache(tmp_path / "cache")
-    entry = _entry()
-    cache.put(entry)
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, ANSWER)
     original = Path.read_text
 
     def read_after_unlink(self, *args, **kwargs):
@@ -163,37 +224,35 @@ def test_cache_entry_removed_mid_read_is_a_miss(tmp_path, monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", read_after_unlink)
-    assert cache.get(entry.request_digest) is None
+    assert cache.get(digest, prompt, PARAMS) is None
     assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 0)
 
 
 def test_cache_get_other_os_errors_raise(tmp_path, monkeypatch):
     cache = FileCache(tmp_path / "cache")
-    entry = _entry()
-    cache.put(entry)
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, ANSWER)
 
     def denied(self, *args, **kwargs):
         raise PermissionError(str(self))
 
     monkeypatch.setattr(Path, "read_text", denied)
     with pytest.raises(PermissionError):
-        cache.get(entry.request_digest)
+        cache.get(digest, prompt, PARAMS)
 
 
 def test_cache_gc_by_age(tmp_path):
     import os
 
     cache = FileCache(tmp_path / "cache")
-    fresh, aged = _entry("fresh"), _entry("aged")
-    cache.put(fresh)
-    cache.put(aged)
-    aged_path = (
-        tmp_path / "cache" / aged.request_digest[:2] / f"{aged.request_digest}.json"
-    )
+    (fresh, fresh_prompt), (aged, aged_prompt) = _entry("fresh"), _entry("aged")
+    cache.put(fresh, fresh_prompt, PARAMS, ANSWER)
+    cache.put(aged, aged_prompt, PARAMS, ANSWER)
+    aged_path = _entry_path(cache, aged)
     os.utime(aged_path, (1000, 1000))
     removed = cache.gc(max_age_s=3600, now=time.time())
     assert removed == 1
-    assert cache.get(fresh.request_digest) is not None
+    assert cache.get(fresh, fresh_prompt, PARAMS) is not None
     assert not aged_path.exists()
 
 
@@ -525,7 +584,7 @@ def test_run_batch_cache_write_failure_stops_the_batch(tmp_path):
     # a failed put is not a per-item failure: it ends the batch, and the
     # misses not yet started are never sent
     class FailingCache(FileCache):
-        def put(self, entry):
+        def put(self, digest, prompt, params, text):
             raise OSError("disk full")
 
     provider = CountingProvider()
@@ -586,7 +645,7 @@ def test_run_batch_small_batch_corruption_is_a_miss(tmp_path):
     assert provider.calls == 1
     assert cache.corruptions == 1
     assert path.with_suffix(".json.corrupt").exists()
-    assert cache.get(result.request_digest).completion_text == "echo q"
+    assert cache.get(result.request_digest, _prompt("q"), PARAMS) == "echo q"
 
 
 def test_run_batch_all_cached_opens_no_pool(tmp_path, monkeypatch):
@@ -604,6 +663,26 @@ def test_run_batch_all_cached_opens_no_pool(tmp_path, monkeypatch):
     assert provider.calls == 0
     assert [r.text for r in results] == [f"echo {p.final_text}" for p in prompts]
     assert all(r.from_cache and r.latency_ms == 0 for r in results)
+
+
+def test_warm_run_batch_hashes_each_prompt_once(tmp_path, monkeypatch):
+    # a hit is verified against the request's fields, not by hashing the entry again
+    cache = FileCache(tmp_path / "cache")
+    prompts = [_prompt(f"q{i}") for i in range(10)]
+    run_batch(CountingProvider(), cache, prompts, PARAMS)
+    hashed = []
+    original = kpe.backend.cache_key
+
+    def counting(*args):
+        hashed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kpe.backend, "cache_key", counting)
+    provider = CountingProvider()
+    results = run_batch(provider, cache, prompts, PARAMS)
+    assert [r.text for r in results] == [f"echo {p.final_text}" for p in prompts]
+    assert (provider.calls, cache.hits) == (0, len(prompts))
+    assert len(hashed) == len(prompts)
 
 
 def test_run_batch_mixed_hits_misses_and_duplicates(tmp_path):

@@ -65,7 +65,10 @@ def write_config(root: Path, cfg: dict) -> str:
 # config plumbing -------------------------------------------------------------
 
 @pytest.mark.parametrize("command", ["score", "align"])
-@pytest.mark.parametrize("url", ["htp://api.example.test/v1", "http:///v1", "ftp://host/"])
+@pytest.mark.parametrize("url", [
+    "htp://api.example.test/v1", "http:///v1", "ftp://host/",
+    "http://api.example.test:abc/v1", "http://api.example.test:99999/v1",
+])
 def test_malformed_endpoint_url_is_a_config_error(tmp_path, monkeypatch, command, url):
     built = []
     monkeypatch.setattr(kpe.cli, "HttpProvider", lambda **kwargs: built.append(kwargs))
@@ -164,10 +167,11 @@ def test_score_rejects_bad_config_value(tmp_path, monkeypatch, key, value):
 def test_cli_import_leaves_requests_unloaded():
     # kpe does not depend on requests, and escapes SVG text with html.escape:
     # importing the CLI must load neither requests nor xml.sax (which loads
-    # urllib.request)
+    # urllib.request); http.client (and the email package it pulls in) loads
+    # only when the http provider is built
     src = str(Path(kpe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    modules = ["requests", "xml.sax", "urllib.request"]
+    modules = ["requests", "xml.sax", "urllib.request", "http.client", "email"]
     result = subprocess.run(
         [sys.executable, "-c",
          f"import sys, kpe.cli; print([m for m in {modules!r} if m in sys.modules])"],
@@ -262,6 +266,32 @@ def test_score_rerun_hits_cache(tmp_path):
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["provider_calls"] == 0
     assert summary["cache"]["hits"] == 4
+    assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
+
+
+def _answer_not_text(raw: bytes) -> bytes:
+    obj = json.loads(raw)
+    obj["completion_text"] = 5
+    return json.dumps(obj).encode("utf-8")
+
+
+@pytest.mark.parametrize("corrupt", [lambda raw: raw + b"\xff", _answer_not_text],
+                         ids=["bad-utf8", "answer-not-text"])
+def test_score_rerun_asks_again_for_a_corrupt_entry(tmp_path, corrupt):
+    cfg = write_tiny_corpus(tmp_path)
+    cfg["cache_dir"] = str(tmp_path / "cache")
+    path = write_config(tmp_path, cfg)
+    runner = CliRunner()
+    assert runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"]).exit_code == 0
+    first = (tmp_path / "out" / "scores_gemba.jsonl").read_bytes()
+    entry = sorted((tmp_path / "cache").glob("*/*.json"))[0]
+    entry.write_bytes(corrupt(entry.read_bytes()))
+    result = runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"])
+    assert result.exit_code == 0, result.stderr
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["cache"]["corruptions"] == 1
+    assert summary["provider_calls"] == 1
+    assert entry.with_suffix(".json.corrupt").exists()
     assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
 
 
@@ -437,25 +467,40 @@ def test_align_sends_every_segment_in_one_bounded_batch(tmp_path, monkeypatch):
 @pytest.mark.parametrize("failure, message", [
     ("provider", "connection refused"),
     ("empty_mt", "cannot tokenize an empty sentence"),
+    ("long_mt", "axis limit is 64 tokens, got 1 x 65"),
 ])
 def test_align_failed_segment_leaves_the_others_written(tmp_path, monkeypatch, failure, message):
     cfg = write_tiny_corpus(tmp_path)
     single = _align(dict(cfg, out=str(tmp_path / "single")), tmp_path, "s1")
     assert single.exit_code == 0, single.stderr
 
+    sent = []
     if failure == "provider":
         _provider_down(monkeypatch, "zwei")
     else:
+        # s3 fails before its prompt is rendered, so only s1 reaches the provider
+        mt, src = ("", "quelle drei") if failure == "empty_mt" else (
+            " ".join(f"w{i}" for i in range(65)), "drei"
+        )
         with open(cfg["outputs"], "a", encoding="utf-8") as fh:
-            fh.write("de-en\tsysA\ts3\t\n")
+            fh.write(f"de-en\tsysA\ts3\t{mt}\n")
         with open(cfg["segments"], "a", encoding="utf-8") as fh:
-            fh.write("de-en\ts3\tquelle drei\n")
+            fh.write(f"de-en\ts3\t{src}\n")
+        original = MockProvider.complete
+
+        def recording(self, prompt, params):
+            sent.append(prompt.bindings["source_seg"])
+            return original(self, prompt, params)
+
+        monkeypatch.setattr(MockProvider, "complete", recording)
     failing = "s2" if failure == "provider" else "s3"
     result = _align(cfg, tmp_path, "s1", failing)
     assert result.exit_code == 2
     assert [line for line in result.stderr.splitlines() if line.startswith("error: ")] == [
         f"error: de-en/sysA/{failing}: {message}"
     ]
+    if failure != "provider":
+        assert len(sent) == 1 and "eins" in sent[0]
     for suffix in (".svg", ".json"):
         name = f"de-en_sysA_s1{suffix}"
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()

@@ -27,8 +27,6 @@ def make_table(
     """Build a ScoreTable directly from (lp, system, seg) -> ordinal."""
     table = ScoreTable(
         estimator=EstimatorKind(name=name, scoring_mode=mode),
-        model_id="test",
-        params=PARAMS,
     )
     for (lp, system_id, seg_id), ordinal in ordinals.items():
         table.scores[(lp, system_id, seg_id)] = QualityScore(
