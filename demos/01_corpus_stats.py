@@ -29,8 +29,8 @@ dataset = EvalDataset.build(
 )
 stats = dataset_stats(dataset)
 print("\nper language pair:")
-for lp, row in sorted(stats.per_lp.items()):
+for lp, row in stats.items():
     print(
-        f"  {lp}: {row.n_segments} segments x {row.n_systems} systems, "
-        f"{row.n_judgments} ranking judgments"
+        f"  {lp}: {row['n_segments']} segments x {row['n_systems']} systems, "
+        f"{row['n_judgments']} ranking judgments"
     )

@@ -29,9 +29,9 @@ for response in (
     'I would say: "mostly similar meaning".',
     "Class: Partially similar meaning (some loss).",
 ):
-    got = parse_categorical(response, template.schema)
-    print(f"  {response!r}\n    -> class {got.index}: {got.class_string}")
+    index = parse_categorical(response, template.schema)
+    print(f"  {response!r}\n    -> class {index}: {template.schema.classes[index]}")
 
 print("\nstars mode accepts glyphs, fractions, and bare integers:")
 for response in ("★★★★", "4/5", "I give it 4 stars"):
-    print(f"  {response!r} -> {parse_stars(response).stars} stars")
+    print(f"  {response!r} -> {parse_stars(response)} stars")

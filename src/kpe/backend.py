@@ -33,6 +33,7 @@ from .corpus import EvalDataset
 from .errors import (
     AuthError,
     CacheCorruptionError,
+    ConfigError,
     KpeError,
     MissingFixtureError,
     ProviderError,
@@ -365,6 +366,9 @@ def _is_punct_token(token: str) -> bool:
     )
 
 
+_FIXTURE_KEYS = ("lp", "seg_id", "text")
+
+
 @dataclass
 class MockFixtures:
     """Pseudo-references keyed by (lp, seg_id), plus reverse text indexes.
@@ -400,13 +404,29 @@ class MockFixtures:
 
     @classmethod
     def from_json_file(cls, path: str | Path, dataset: EvalDataset) -> "MockFixtures":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        refs = {(r["lp"], r["seg_id"]): r["text"] for r in obj["refs"]}
+        """Read the to_json_obj form; a file of any other shape is a ConfigError."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"mock fixtures {path}: {exc}") from exc
+
+        def refs(rows, where: str) -> dict[tuple[str, str], str]:
+            if not isinstance(rows, list) or not all(
+                isinstance(r, dict) and all(isinstance(r.get(k), str) for k in _FIXTURE_KEYS)
+                for r in rows
+            ):
+                raise ConfigError(f"mock fixtures {path}: {where} must be a list of "
+                                  f"objects with string {', '.join(_FIXTURE_KEYS)}")
+            return {(r["lp"], r["seg_id"]): r["text"] for r in rows}
+
+        if not isinstance(obj, dict) or not isinstance(obj.get("aspect_refs", {}), dict):
+            raise ConfigError(f"mock fixtures {path}: expected an object with "
+                              "refs and an optional aspect_refs object")
         aspect_refs = {
-            aspect: {(r["lp"], r["seg_id"]): r["text"] for r in rows}
+            aspect: refs(rows, f"aspect_refs.{aspect}")
             for aspect, rows in obj.get("aspect_refs", {}).items()
         }
-        return cls.from_dataset(dataset, refs, aspect_refs)
+        return cls.from_dataset(dataset, refs(obj.get("refs"), "refs"), aspect_refs)
 
     def to_json_obj(self) -> dict:
         def rows(mapping: dict[tuple[str, str], str]) -> list[dict]:

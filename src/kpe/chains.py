@@ -37,7 +37,7 @@ from .backend import (
     run_batch,
 )
 from .corpus import EvalDataset, Segment, SystemOutput
-from .errors import InputError, ParseError
+from .errors import FormatError, InputError, ParseError
 from .parsing import parse_categorical, parse_scalar, parse_stars
 from .prompting import (
     ESTIMATORS,
@@ -50,7 +50,7 @@ from .prompting import (
 ONE_STEP_KINDS = tuple(name for name, spec in ESTIMATORS.items() if not spec.steps)
 COT_KINDS = tuple(name for name, spec in ESTIMATORS.items() if spec.steps)
 ESTIMATOR_NAMES = ONE_STEP_KINDS + COT_KINDS
-SCORING_MODES = ("cat5", "cat3", "stars", "scalar")
+SCORING_MODES = tuple(dict.fromkeys(m for spec in ESTIMATORS.values() for m in spec.templates))
 STEP_FAILURES = ("abort_pair", "substitute_middle")
 
 
@@ -173,40 +173,56 @@ class ScoreTable:
                 fh.write("\n")
 
 
+def _field(obj: dict, name: str, types: type | tuple[type, ...]):
+    value = obj[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise TypeError(f"field {name!r} is {value!r}")
+    return value
+
+
 def load_score_file(path: str | Path) -> ScoreTable:
-    """Rebuild a ScoreTable from its JSONL form (traces lose bindings/raw text)."""
+    """Rebuild a ScoreTable from its JSONL form (traces lose bindings/raw text).
+
+    A line that is not a score record as write_jsonl writes it is a
+    FormatError naming the path and line.
+    """
     scores: dict[tuple[str, str, str], QualityScore] = {}
     estimator: EstimatorKind | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            kind = EstimatorKind(name=obj["estimator"], scoring_mode=obj["mode"])
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                kind = EstimatorKind(_field(obj, "estimator", str), _field(obj, "mode", str))
+                steps = tuple(
+                    StepRecord(
+                        template_id=_field(s, "template_id", str),
+                        version=_field(s, "version", int),
+                        digest=_field(s, "digest", str),
+                        bindings={},
+                        parsed_ordinal=_field(s, "parsed", (int, float, type(None))),
+                    )
+                    for s in _field(obj, "steps", list)
+                )
+                score = QualityScore(
+                    lp=_field(obj, "lp", str),
+                    system_id=_field(obj, "system_id", str),
+                    seg_id=_field(obj, "seg_id", str),
+                    estimator=kind.name,
+                    mode=kind.scoring_mode,
+                    ordinal=_field(obj, "ordinal", (int, float, type(None))),
+                    error=_field(obj, "error", (str, type(None))),
+                    steps=steps,
+                )
+            except KeyError as exc:
+                raise FormatError(str(path), line_no, f"missing field {exc}") from exc
+            except (TypeError, ValueError, InputError) as exc:
+                raise FormatError(str(path), line_no, f"not a score record: {exc}") from exc
             if estimator is None:
                 estimator = kind
             elif estimator != kind:
                 raise InputError(f"{path}: mixed estimators in one score file")
-            steps = tuple(
-                StepRecord(
-                    template_id=s["template_id"],
-                    version=int(s["version"]),
-                    digest=s["digest"],
-                    bindings={},
-                    parsed_ordinal=s["parsed"],
-                )
-                for s in obj["steps"]
-            )
-            score = QualityScore(
-                lp=obj["lp"],
-                system_id=obj["system_id"],
-                seg_id=obj["seg_id"],
-                estimator=obj["estimator"],
-                mode=obj["mode"],
-                ordinal=obj["ordinal"],
-                error=obj["error"],
-                steps=steps,
-            )
             scores[(score.lp, score.system_id, score.seg_id)] = score
     if estimator is None:
         raise InputError(f"{path}: empty score file")
@@ -230,12 +246,12 @@ class _Answer:
         text, schema = self.outcome.text, self.template.schema
         try:
             if schema.kind == "categorical":
-                cat = parse_categorical(text, schema)
-                self.ordinal, self.class_string = cat.index, cat.class_string
+                self.ordinal = parse_categorical(text, schema)
+                self.class_string = schema.classes[self.ordinal]
             elif schema.kind == "stars":
-                self.ordinal = parse_stars(text, int(schema.lo), int(schema.hi)).stars
+                self.ordinal = parse_stars(text, int(schema.lo), int(schema.hi))
             else:
-                self.ordinal = parse_scalar(text, schema.lo, schema.hi).value
+                self.ordinal = parse_scalar(text, schema.lo, schema.hi)
         except ParseError as exc:
             self.parse_error = exc
 

@@ -7,6 +7,10 @@ setting's default, JSON type and allowed values, against which
 build_run_config checks every value. The provider API key is read from
 the KPE_API_KEY environment variable only, never from config or flags.
 
+`kpe templates --json` prints a JSON list with one object per builtin
+template: template_id, version, placeholders (sorted), and schema, an
+object of kind, classes (null unless categorical), lo and hi.
+
 Exit codes: 0 success; 1 config or IO errors, or provider unreachable
 (nothing scored or aligned, and a provider error among the failures);
 2 finished but the scoring error rate exceeded the threshold, or some
@@ -28,7 +32,6 @@ from typing import NoReturn, get_args, get_type_hints
 import click
 
 from . import __version__
-from .alignment import align_pairs, render_heatmap, tokenize
 from .backend import FileCache, GenParams, HttpProvider, MockFixtures, MockProvider
 # perfbench/tracing.py wraps _build_provider, score_dataset, the corpus loaders,
 # load_score_file and kendall_tau_rr as attributes of this module: keep them here.
@@ -258,7 +261,6 @@ def templates(as_json: bool) -> None:
                     "version": t.version,
                     "schema": schema,
                     "placeholders": sorted(t.placeholders),
-                    "optional": sorted(t.optional),
                 }
             )
         click.echo(json.dumps(objs, ensure_ascii=False, indent=2, sort_keys=True))
@@ -524,13 +526,10 @@ def _human_accuracy_rows(tables, human_scores, warnings) -> list[tuple]:
     for table in tables:
         name = table.estimator.name
         try:
-            system_rows = system_score(table)
+            by_lp = system_score(table)
         except KpeError as exc:
             warnings.append(f"{name}: {exc}")
             continue
-        by_lp: dict[str, dict[str, float]] = {}
-        for row in system_rows:
-            by_lp.setdefault(row.lp, {})[row.system_id] = row.mean_ordinal
         for lp in sorted(human_scores):
             if lp not in by_lp:
                 continue
@@ -619,6 +618,8 @@ def _run_model_id(scores_dir: str) -> str:
 @click.option("--seg", "seg_ids", type=str, multiple=True, required=True)
 def align(config_path, lp, system_id, seg_ids, **flags) -> None:
     """Render token-alignment heatmaps for chosen (system, segment) pairs."""
+    from .alignment import align_pairs, render_heatmap, tokenize
+
     try:
         cfg = build_run_config(config_path, flags)
         cfg.validate()

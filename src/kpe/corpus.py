@@ -26,30 +26,7 @@ from .errors import (
     SelfComparisonError,
 )
 
-_LANG_RE = re.compile(r"^[a-z]{2,3}$")
-
-
-@dataclass(frozen=True, order=True)
-class LanguagePair:
-    """A translation direction such as zh-en."""
-
-    src_lang: str
-    tgt_lang: str
-
-    def __post_init__(self) -> None:
-        for code in (self.src_lang, self.tgt_lang):
-            if not _LANG_RE.match(code):
-                raise ValueError(f"bad language code: {code!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "LanguagePair":
-        parts = text.split("-")
-        if len(parts) != 2:
-            raise ValueError(f"bad language pair: {text!r}")
-        return cls(parts[0], parts[1])
-
-    def __str__(self) -> str:
-        return f"{self.src_lang}-{self.tgt_lang}"
+_LP_RE = re.compile(r"[a-z]{2,3}-[a-z]{2,3}")  # a translation direction such as zh-en
 
 
 @dataclass(frozen=True, order=True)
@@ -75,26 +52,6 @@ class RRJudgment:
     seg_id: str
     better_system: str
     worse_system: str
-
-
-@dataclass(frozen=True)
-class LpStats:
-    n_segments: int
-    n_systems: int
-    n_judgments: int
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    per_lp: dict[str, LpStats]
-
-    @property
-    def total_segments(self) -> int:
-        return sum(s.n_segments for s in self.per_lp.values())
-
-    @property
-    def total_judgments(self) -> int:
-        return sum(s.n_judgments for s in self.per_lp.values())
 
 
 @dataclass(frozen=True)
@@ -209,12 +166,9 @@ def _parse_jsonl(path: str, line_no: int, line: str, fields: tuple[str, ...]) ->
     return values
 
 
-def _check_lp(path: str, line_no: int, lp: str) -> str:
-    try:
-        LanguagePair.parse(lp)
-    except ValueError as exc:
-        raise FormatError(path, line_no, str(exc)) from exc
-    return lp
+def _check_lp(path: str, line_no: int, lp: str) -> None:
+    if not _LP_RE.fullmatch(lp):
+        raise FormatError(path, line_no, f"bad language pair: {lp!r}")
 
 
 FORMATS = ("tsv", "jsonl")
@@ -343,18 +297,18 @@ def save_dataset_jsonl(
     )
 
 
-def dataset_stats(dataset: EvalDataset) -> DatasetStats:
-    """Per-language-pair segment/system/judgment counts."""
-    per_lp: dict[str, LpStats] = {}
+def dataset_stats(dataset: EvalDataset) -> dict[str, dict[str, int]]:
+    """Per-language-pair counts: {lp: {"n_segments", "n_systems", "n_judgments"}}."""
     lps = sorted(
         {s.lp for s in dataset.segments}
         | {o.lp for o in dataset.outputs}
         | {j.lp for j in dataset.judgments}
     )
-    for lp in lps:
-        per_lp[lp] = LpStats(
-            n_segments=sum(1 for s in dataset.segments if s.lp == lp),
-            n_systems=len({o.system_id for o in dataset.outputs if o.lp == lp}),
-            n_judgments=sum(1 for j in dataset.judgments if j.lp == lp),
-        )
-    return DatasetStats(per_lp=per_lp)
+    return {
+        lp: {
+            "n_segments": sum(1 for s in dataset.segments if s.lp == lp),
+            "n_systems": len({o.system_id for o in dataset.outputs if o.lp == lp}),
+            "n_judgments": sum(1 for j in dataset.judgments if j.lp == lp),
+        }
+        for lp in lps
+    }

@@ -21,8 +21,7 @@ from itertools import combinations
 from .chains import ScoreTable
 from .corpus import RRJudgment
 from .errors import EmptySystemError, InsufficientSystemsError
-
-_MIDDLE_FOR_MODE = {"cat5": 2, "cat3": 1, "stars": 3, "scalar": 50.0}
+from .prompting import ResponseSchema, builtin_templates
 
 # What kendall_tau_rr does with a judgment whose score is missing or errored.
 DROP_POLICIES = ("drop", "middle")
@@ -52,13 +51,14 @@ def kendall_tau_rr(
     """Count concordant/discordant pairs per language pair.
 
     Judgments whose scores are missing or errored are excluded under the
-    "drop" policy or scored as the mode's middle value under "middle".
+    "drop" policy or scored as the middle of the estimator's template
+    schema under "middle".
     concordant + discordant + excluded always equals the number of
     judgments seen for that lp.
     """
     if drop_policy not in DROP_POLICIES:
         raise ValueError(f"unknown drop policy {drop_policy!r}")
-    middle = _MIDDLE_FOR_MODE[table.estimator.scoring_mode]
+    middle = _schema(table).middle
     tallies: dict[str, list[int]] = {}  # lp -> [concordant, discordant, excluded]
 
     def value_of(lp: str, system_id: str, seg_id: str) -> int | float | None:
@@ -89,17 +89,9 @@ def kendall_tau_rr(
     }
 
 
-@dataclass(frozen=True)
-class SystemScoreRow:
-    lp: str
-    system_id: str
-    mean_ordinal: float
-    n_segments: int
-
-
-def system_score(table: ScoreTable) -> list[SystemScoreRow]:
-    """Mean parsed ordinal per (lp, system). A system with no parsed scores
-    cannot be averaged and raises EmptySystemError."""
+def system_score(table: ScoreTable) -> dict[str, dict[str, float]]:
+    """Mean parsed ordinal per system: {lp: {system_id: mean}}. A system with
+    no parsed scores cannot be averaged and raises EmptySystemError."""
     sums: dict[tuple[str, str], list[float]] = {}
     seen: set[tuple[str, str]] = set()
     for (lp, system_id, _seg), score in table.scores.items():
@@ -110,15 +102,10 @@ def system_score(table: ScoreTable) -> list[SystemScoreRow]:
     if empty:
         lp, system_id = empty[0]
         raise EmptySystemError(f"no parsed scores for {lp}/{system_id}")
-    return [
-        SystemScoreRow(
-            lp=lp,
-            system_id=system_id,
-            mean_ordinal=sum(values) / len(values),
-            n_segments=len(values),
-        )
-        for (lp, system_id), values in sorted(sums.items())
-    ]
+    means: dict[str, dict[str, float]] = {}
+    for (lp, system_id), values in sorted(sums.items()):
+        means.setdefault(lp, {})[system_id] = sum(values) / len(values)
+    return means
 
 
 def pairwise_accuracy(
@@ -147,9 +134,6 @@ def pairwise_accuracy(
     return agree / counted
 
 
-_BINS_FOR_MODE = {"cat5": 5, "cat3": 3, "stars": 5}
-
-
 @dataclass(frozen=True)
 class DistributionStats:
     mode: str
@@ -165,12 +149,15 @@ class DistributionStats:
 
 
 def score_distribution(table: ScoreTable) -> DistributionStats:
-    """Histogram of parsed scores over the mode's classes."""
+    """Histogram of parsed scores over the classes or stars of the estimator's schema."""
     mode = table.estimator.scoring_mode
-    if mode not in _BINS_FOR_MODE:
+    schema = _schema(table)
+    if schema.kind == "categorical":
+        n_bins, offset = len(schema.classes), 0
+    elif schema.kind == "stars":
+        n_bins, offset = int(schema.hi - schema.lo) + 1, int(schema.lo)
+    else:
         raise ValueError(f"no class distribution for mode {mode!r}")
-    n_bins = _BINS_FOR_MODE[mode]
-    offset = 1 if mode == "stars" else 0
     counts = [0] * n_bins
     parsed = 0
     for score in table.scores.values():
@@ -182,3 +169,8 @@ def score_distribution(table: ScoreTable) -> DistributionStats:
         counts[idx] += 1
         parsed += 1
     return DistributionStats(mode=mode, counts=tuple(counts), n_parsed=parsed)
+
+
+def _schema(table: ScoreTable) -> ResponseSchema:
+    """The answer schema of the estimator's template (a chain's combiner)."""
+    return builtin_templates().get(table.estimator.template_id).schema

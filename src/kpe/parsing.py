@@ -1,13 +1,15 @@
 """Parsers for free-form provider responses.
 
-All parsers are pure functions of their text argument. They never clamp:
-an out-of-range number is a RangeError so degradation stays visible.
+All parsers are pure functions of their text argument and return the
+number itself: parse_categorical the class index (0 = worst; the label is
+schema.classes[i]), parse_stars an int and parse_scalar a float. They
+never clamp: an out-of-range number is a RangeError so degradation stays
+visible.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     AmbiguityError,
@@ -19,27 +21,11 @@ from .errors import (
 from .prompting import ResponseSchema
 
 
-@dataclass(frozen=True)
-class CategoryScore:
-    class_string: str
-    index: int
-
-
-@dataclass(frozen=True)
-class ScalarScore:
-    value: float
-
-
-@dataclass(frozen=True)
-class StarScore:
-    stars: int
-
-
 _CLASS_ANCHOR = "class:"
 
 
-def parse_categorical(text: str, schema: ResponseSchema) -> CategoryScore:
-    """Find which class label a response names.
+def parse_categorical(text: str, schema: ResponseSchema) -> int:
+    """Return the index of the class label a response names.
 
     Case-insensitive substring search; punctuation or quotes around the
     label do not matter because matching is positional. If the response
@@ -72,13 +58,13 @@ def parse_categorical(text: str, schema: ResponseSchema) -> CategoryScore:
             pos = lowered.find(needle, pos + 1)
     if best is None:
         raise NoMatchError(f"no class label found in {text!r}")
-    return CategoryScore(class_string=schema.classes[best[2]], index=best[2])
+    return best[2]
 
 
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
-def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> ScalarScore:
+def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
     """Parse the first decimal number; outside [lo, hi] is a RangeError."""
     m = _NUMBER_RE.search(text)
     if not m:
@@ -86,7 +72,7 @@ def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> ScalarScore:
     value = float(m.group(0))
     if not lo <= value <= hi:
         raise RangeError(f"{value} outside [{lo}, {hi}]")
-    return ScalarScore(value=value)
+    return value
 
 
 _STAR_GLYPH_RE = re.compile(r"★+")
@@ -95,7 +81,7 @@ _N_STARS_RE = re.compile(r"(-?\d+)\s*stars?\b", re.IGNORECASE)
 _INT_RE = re.compile(r"-?\d+")
 
 
-def parse_stars(text: str, lo: int = 1, hi: int = 5) -> StarScore:
+def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
     """Parse a star rating: a run of star glyphs, "N/5", "N stars", or a bare N."""
     m = _STAR_GLYPH_RE.search(text)
     if m:
@@ -110,7 +96,7 @@ def parse_stars(text: str, lo: int = 1, hi: int = 5) -> StarScore:
             raise NoMatchError(f"no star rating found in {text!r}")
     if not lo <= value <= hi:
         raise RangeError(f"{value} stars outside [{lo}, {hi}]")
-    return StarScore(stars=value)
+    return value
 
 
 def category_to_ordinal(class_string: str, schema: ResponseSchema) -> int:

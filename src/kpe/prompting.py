@@ -40,6 +40,9 @@ class ResponseSchema:
 
     kind: "categorical" (classes ordered worst to best), "stars", "scalar".
     classes is empty unless categorical; lo/hi are unset unless numeric.
+    A parsed answer is a class index or a number in [lo, hi]; middle is the
+    neutral answer that the substitute_middle step policy and the "middle"
+    drop policy put in place of a missing one.
     """
 
     kind: str
@@ -60,11 +63,18 @@ class ResponseSchema:
             raise ValueError(f"unknown schema kind: {self.kind!r}")
 
     @property
+    def middle(self) -> int | float:
+        """The middle class index, else the midpoint (lo + hi) / 2."""
+        if self.kind == "categorical":
+            return (len(self.classes) - 1) // 2
+        return (self.lo + self.hi) / 2
+
+    @property
     def middle_class(self) -> str:
         """Middle label of an odd-length class list (substitution policies)."""
         if self.kind != "categorical":
             raise ValueError("middle_class is only defined for categorical schemas")
-        return self.classes[(len(self.classes) - 1) // 2]
+        return self.classes[self.middle]
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,6 @@ class PromptTemplate:
     version: int
     body: str
     placeholders: tuple[str, ...]
-    optional: tuple[str, ...] = ()
     schema: ResponseSchema = field(default_factory=lambda: ResponseSchema("scalar", (), 0, 1))
 
     def __post_init__(self) -> None:
@@ -89,8 +98,6 @@ class PromptTemplate:
                 f"{self.template_id}: declared placeholders never used "
                 f"{sorted(declared - used)}"
             )
-        if not set(self.optional) <= declared:
-            raise ValueError(f"{self.template_id}: optional names must be placeholders")
 
 
 @dataclass(frozen=True)
@@ -107,27 +114,22 @@ def render_template(template: PromptTemplate, bindings: dict[str, str]) -> Rende
     """Substitute bindings into the template body.
 
     Single-pass substitution: placeholder-like text inside a bound value is
-    left alone, never expanded. Required placeholders must be present and
-    non-empty after trimming; unknown binding names are rejected.
+    left alone, never expanded. Every placeholder must be bound to a value
+    that is non-empty after trimming; unknown binding names are rejected.
     """
     declared = set(template.placeholders)
     given = set(bindings)
     unknown = given - declared
     if unknown:
         raise UnknownBindingError(sorted(unknown))
-    required = declared - set(template.optional)
-    missing = required - given
+    missing = declared - given
     if missing:
         raise MissingBindingError(sorted(missing))
-    for name in sorted(required):
+    for name in sorted(declared):
         if not bindings[name].strip():
             raise EmptyValueError(f"placeholder {name!r} bound to empty value")
 
-    def _sub(match: re.Match) -> str:
-        name = match.group(1)
-        return bindings.get(name, "")
-
-    final_text = _PLACEHOLDER_RE.sub(_sub, template.body)
+    final_text = _PLACEHOLDER_RE.sub(lambda match: bindings[match.group(1)], template.body)
     return RenderedPrompt(
         template_id=template.template_id,
         version=template.version,
@@ -172,16 +174,7 @@ def parse_template_text(text: str, origin: str = "<string>") -> PromptTemplate:
             kind=kind, lo=float(schema_parts[1]), hi=float(schema_parts[2])
         )
 
-    names: list[str] = []
-    optional: list[str] = []
-    for item in header["placeholders"].split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if item.endswith("?"):
-            item = item[:-1]
-            optional.append(item)
-        names.append(item)
+    names = [item.strip() for item in header["placeholders"].split(",") if item.strip()]
 
     body = "\n".join(lines[sep + 1:])
     if body.endswith("\n"):
@@ -191,7 +184,6 @@ def parse_template_text(text: str, origin: str = "<string>") -> PromptTemplate:
         version=int(header["version"]),
         body=body,
         placeholders=tuple(names),
-        optional=tuple(optional),
         schema=schema,
     )
 

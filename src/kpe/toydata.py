@@ -233,21 +233,13 @@ def generate_toy_corpus() -> ToyCorpus:
             if not predicted_tau["cot1"][lp] > predicted_tau[one_step][lp]:
                 raise RuntimeError(f"fixture lost its margin: cot1 vs {one_step} on {lp}")
 
-    stats = dataset_stats(dataset)
     manifest = {
         "lps": list(LPS),
         "systems_per_lp": len(SYSTEMS),
         "segments_per_lp": N_SEGMENTS,
         "outputs_per_lp": len(SYSTEMS) * N_SEGMENTS,
         "judgments_per_lp": N_JUDGMENTS,
-        "per_lp": {
-            lp: {
-                "n_segments": s.n_segments,
-                "n_systems": s.n_systems,
-                "n_judgments": s.n_judgments,
-            }
-            for lp, s in stats.per_lp.items()
-        },
+        "per_lp": dataset_stats(dataset),
         "predicted_tau": predicted_tau,
     }
     return ToyCorpus(

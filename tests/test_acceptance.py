@@ -213,12 +213,14 @@ def test_criterion_04_ingestion_counts(toy):
         desc = "toy corpus counts match its construction manifest"
         with criterion(4, desc):
             stats = dataset_stats(toy.dataset)
-            assert sorted(stats.per_lp) == toy.manifest["lps"]
+            assert sorted(stats) == toy.manifest["lps"]
             for lp, entry in toy.manifest["per_lp"].items():
-                lp_stats = stats.per_lp[lp]
-                assert lp_stats.n_segments == entry["n_segments"]
-                assert lp_stats.n_systems == entry["n_systems"]
-                assert lp_stats.n_judgments == entry["n_judgments"]
+                assert stats[lp] == entry
+                assert entry == {
+                    "n_segments": toy.manifest["segments_per_lp"],
+                    "n_systems": toy.manifest["systems_per_lp"],
+                    "n_judgments": toy.manifest["judgments_per_lp"],
+                }
 
 
 def parse_avg_column(markdown: str) -> dict[str, float]:
@@ -275,7 +277,7 @@ def test_criterion_06_parser_round_trip():
         for index, label in enumerate(schema.classes):
             for perturb in perturbations:
                 got = parse_categorical(perturb(label), schema)
-                assert got.index == index, f"{perturb(label)!r} parsed to {got}"
+                assert got == index, f"{perturb(label)!r} parsed to {got}"
                 passed += 1
         assert passed == 30
 

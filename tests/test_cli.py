@@ -180,6 +180,23 @@ def test_cli_import_leaves_requests_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_what_score_runs():
+    # alignment (and the html module it escapes SVG text with) loads only
+    # when `kpe align` runs, toydata never; every public name of the package
+    # still resolves, from its module, on first use
+    src = str(Path(kpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    modules = ["kpe.alignment", "kpe.toydata", "html"]
+    code = (
+        f"import sys, kpe.cli; print([m for m in {modules!r} if m in sys.modules]); "
+        "import kpe; print([n for n in kpe.__all__ if getattr(kpe, n, None) is None])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -202,7 +219,7 @@ def test_templates_listing_is_stable():
         "kpe_token_align",
     }
     for entry in listed:
-        assert set(entry) >= {"template_id", "version", "schema", "placeholders"}
+        assert set(entry) == {"template_id", "version", "schema", "placeholders"}
 
 
 # score ------------------------------------------------------------------------
@@ -293,6 +310,27 @@ def test_score_rerun_asks_again_for_a_corrupt_entry(tmp_path, corrupt):
     assert summary["provider_calls"] == 1
     assert entry.with_suffix(".json.corrupt").exists()
     assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
+
+
+@pytest.mark.parametrize("fixtures", [
+    {},
+    [1],
+    {"refs": [{"lp": "de-en", "text": REF_S1}]},
+    {"refs": [{"lp": "de-en", "seg_id": "s1", "text": 5}]},
+    {"refs": [], "aspect_refs": []},
+    "{not json",
+], ids=["empty-object", "list", "ref-without-seg_id", "non-text-ref", "aspect_refs-list",
+        "not-json"])
+def test_score_malformed_fixtures_is_a_config_error(tmp_path, fixtures):
+    cfg = write_tiny_corpus(tmp_path)
+    text = fixtures if isinstance(fixtures, str) else json.dumps(fixtures)
+    (tmp_path / "fixtures.json").write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["score", "--config", write_config(tmp_path, cfg)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: mock fixtures {cfg['mock_fixtures']}: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_score_format_flag_reads_jsonl(tmp_path):
@@ -386,6 +424,38 @@ def test_report_rejects_non_numeric_human_scores(tmp_path, value):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "human scores must be {lp: {system: number}}" in result.stderr
+
+
+def _without_template_id(record: dict) -> dict:
+    del record["steps"][0]["template_id"]
+    return record
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: {},
+    lambda record: [1],
+    _without_template_id,
+    lambda record: {**record, "ordinal": "high"},
+    lambda record: b"\xff",
+], ids=["empty-object", "list", "step-without-template_id", "text-ordinal", "invalid-utf8"])
+def test_report_malformed_score_file_is_a_format_error(tmp_path, edit):
+    cfg = write_tiny_corpus(tmp_path)
+    runner = CliRunner()
+    score = ["score", "--config", write_config(tmp_path, cfg), "--estimators", "gemba"]
+    assert runner.invoke(main, score).exit_code == 0
+    path = tmp_path / "out" / "scores_gemba.jsonl"
+    lines = path.read_bytes().splitlines()
+    edited = edit(json.loads(lines[1]))
+    lines[1] = edited if isinstance(edited, bytes) else json.dumps(edited).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    result = runner.invoke(
+        main, ["report", "--scores", str(tmp_path / "out"), "--judgments", cfg["judgments"]]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {path}:2: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.md").exists()
 
 
 def test_report_fraction_rendering(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from kpe.corpus import (
     EvalDataset,
-    LanguagePair,
     RRJudgment,
     Segment,
     SystemOutput,
@@ -48,16 +47,14 @@ def corpus_files(tmp_path):
     )
 
 
-def test_language_pair_parse_and_str():
-    lp = LanguagePair.parse("zh-en")
-    assert (lp.src_lang, lp.tgt_lang) == ("zh", "en")
-    assert str(lp) == "zh-en"
-
-
 @pytest.mark.parametrize("bad", ["zhen", "zh-", "-en", "ZH-en", "zh-en-us", "z1-en"])
-def test_language_pair_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        LanguagePair.parse(bad)
+def test_language_pair_rejects_malformed(tmp_path, bad):
+    path = _write(tmp_path / "seg.tsv", f"de-en\tseg1\ta\n{bad}\tseg2\tb\n")
+    with pytest.raises(FormatError) as err:
+        load_segments(path)
+    assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}:2: ")
+    assert repr(bad) in str(err.value)
 
 
 def test_load_tsv_corpus(corpus_files):
@@ -182,19 +179,14 @@ def test_jsonl_missing_field(tmp_path):
 
 def test_stats_counts(corpus_files):
     dataset = load_dataset(*corpus_files)
-    stats = dataset_stats(dataset)
-    assert stats.per_lp["de-en"].n_segments == 2
-    assert stats.per_lp["de-en"].n_systems == 2
-    assert stats.per_lp["de-en"].n_judgments == 3
-    assert stats.per_lp["zh-en"].n_judgments == 0
-    assert stats.total_segments == 3
-    assert stats.total_judgments == 3
+    assert dataset_stats(dataset) == {
+        "de-en": {"n_segments": 2, "n_systems": 2, "n_judgments": 3},
+        "zh-en": {"n_segments": 1, "n_systems": 1, "n_judgments": 0},
+    }
 
 
 def test_toy_corpus_matches_manifest(toy):
     stats = dataset_stats(toy.dataset)
+    assert sorted(stats) == sorted(toy.manifest["per_lp"])
     for lp, expected in toy.manifest["per_lp"].items():
-        got = stats.per_lp[lp]
-        assert got.n_segments == expected["n_segments"]
-        assert got.n_systems == expected["n_systems"]
-        assert got.n_judgments == expected["n_judgments"]
+        assert stats[lp] == expected

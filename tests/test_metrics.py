@@ -123,15 +123,23 @@ def test_kendall_all_excluded_has_null_tau():
 
 
 def test_kendall_middle_policy_scores_missing_pairs():
-    ordinals = {("de-en", "sysA", "s1"): None, ("de-en", "sysB", "s1"): 1}
-    judgments = [
-        RRJudgment(lp="de-en", seg_id="s1", better_system="sysA", worse_system="sysB")
-    ]
-    summary = kendall_tau_rr(make_table(ordinals), judgments, drop_policy="middle")[
-        "de-en"
-    ]
-    # missing better-side becomes the cat5 middle (2), 2 > 1 is concordant
-    assert (summary.concordant, summary.discordant, summary.excluded) == (1, 0, 0)
+    # sysA's score is missing and becomes the mode's middle m; sysB scores
+    # m - 1, sysC m + 1 and sysD exactly m, so only m itself tallies (2, 1, 0)
+    for mode, m in [("cat5", 2), ("cat3", 1), ("stars", 3), ("scalar", 50)]:
+        ordinals = {
+            ("de-en", "sysA", "s1"): None,
+            ("de-en", "sysB", "s1"): m - 1,
+            ("de-en", "sysC", "s1"): m + 1,
+            ("de-en", "sysD", "s1"): m,
+        }
+        judgments = [
+            RRJudgment(lp="de-en", seg_id="s1", better_system=better, worse_system=worse)
+            for better, worse in [("sysA", "sysB"), ("sysC", "sysA"), ("sysA", "sysD")]
+        ]
+        table = make_table(ordinals, mode=mode)
+        summary = kendall_tau_rr(table, judgments, drop_policy="middle")["de-en"]
+        assert (summary.concordant, summary.discordant, summary.excluded) == (2, 1, 0), mode
+        assert kendall_tau_rr(table, judgments)["de-en"].excluded == 3, mode
 
 
 def test_kendall_unknown_policy():
@@ -178,13 +186,8 @@ def test_system_score_means():
         ("de-en", "sysB", "s1"): 1,
         ("de-en", "sysB", "s2"): None,
     }
-    rows = system_score(make_table(ordinals))
-    by_system = {(r.lp, r.system_id): r for r in rows}
-    assert by_system[("de-en", "sysA")].mean_ordinal == 3.0
-    assert by_system[("de-en", "sysA")].n_segments == 2
     # unparsed scores are dropped from the mean, not zeroed
-    assert by_system[("de-en", "sysB")].mean_ordinal == 1.0
-    assert by_system[("de-en", "sysB")].n_segments == 1
+    assert system_score(make_table(ordinals)) == {"de-en": {"sysA": 3.0, "sysB": 1.0}}
 
 
 def test_system_score_empty_system():

@@ -29,20 +29,20 @@ def test_every_builtin_class_parses_back():
             continue
         for idx, label in enumerate(schema.classes):
             got = parse_categorical(f"Class: {label}.", schema)
-            assert got.class_string == label
-            assert got.index == idx
+            assert got == idx
+            assert schema.classes[got] == label
 
 
 def test_categorical_is_case_insensitive():
     got = parse_categorical("class: PERFECT TRANSLATION", CAT5)
-    assert got.index == 4
+    assert got == 4
 
 
 def test_categorical_longest_match_wins():
     # the short and long labels share a prefix; the long one must win
     text = "Some meaning preserved, but not understandable"
     got = parse_categorical(text, CAT5)
-    assert got.index == 1
+    assert got == 1
 
 
 def test_categorical_reads_after_the_last_class_anchor():
@@ -52,10 +52,10 @@ def test_categorical_reads_after_the_last_class_anchor():
         'understandable", "Some meaning preserved and understandable", "Most meaning '
         'preserved, minor issues", "Perfect translation".\nClass: Perfect translation'
     )
-    assert parse_categorical(echoed, CAT5).index == 4
-    assert parse_categorical("CLASS: no meaning preserved", CAT5).index == 0
+    assert parse_categorical(echoed, CAT5) == 4
+    assert parse_categorical("CLASS: no meaning preserved", CAT5) == 0
     assert parse_categorical("class: x. Class: Some meaning preserved and understandable",
-                             CAT5).index == 2
+                             CAT5) == 2
     with pytest.raises(NoMatchError):
         parse_categorical("Perfect translation. Class: unsure", CAT5)
 
@@ -63,13 +63,13 @@ def test_categorical_reads_after_the_last_class_anchor():
 def test_categorical_earliest_of_equal_lengths():
     schema = ResponseSchema(kind="categorical", classes=("alpha", "gamma"))
     got = parse_categorical("gamma then alpha", schema)
-    assert got.class_string == "gamma"
+    assert schema.classes[got] == "gamma"
 
 
 def test_prefix_overlap_resolves_to_longer_label():
     schema = ResponseSchema(kind="categorical", classes=("aa", "AA bb"))
     got = parse_categorical("AA bb", schema)
-    assert got.class_string == "AA bb"
+    assert schema.classes[got] == "AA bb"
 
 
 def test_categorical_no_match():
@@ -80,16 +80,17 @@ def test_categorical_no_match():
 def test_ambiguity_only_on_identical_span():
     schema = ResponseSchema(kind="categorical", classes=("ab cd", "cd ef"))
     # both labels occur, equal length, different positions: earliest wins
-    assert parse_categorical("ab cd ef", schema).class_string == "ab cd"
+    assert schema.classes[parse_categorical("ab cd ef", schema)] == "ab cd"
     # case-variant labels are pairwise distinct yet cover the same span
     with pytest.raises(AmbiguityError):
         parse_categorical("xx", ResponseSchema(kind="categorical", classes=("xX", "xx")))
 
 
 def test_parse_scalar():
-    assert parse_scalar("Score: 87").value == 87.0
-    assert parse_scalar("87.5 / 100").value == 87.5
-    assert parse_scalar("about 12, maybe").value == 12.0
+    assert parse_scalar("Score: 87") == 87.0
+    assert type(parse_scalar("Score: 87")) is float
+    assert parse_scalar("87.5 / 100") == 87.5
+    assert parse_scalar("about 12, maybe") == 12.0
 
 
 def test_parse_scalar_never_clamps():
@@ -102,11 +103,12 @@ def test_parse_scalar_never_clamps():
 
 
 def test_parse_stars_forms():
-    assert parse_stars("★★★").stars == 3
-    assert parse_stars("4/5").stars == 4
-    assert parse_stars("2 stars").stars == 2
-    assert parse_stars("1 star").stars == 1
-    assert parse_stars("Stars: 5").stars == 5
+    assert parse_stars("★★★") == 3
+    assert type(parse_stars("4/5")) is int
+    assert parse_stars("4/5") == 4
+    assert parse_stars("2 stars") == 2
+    assert parse_stars("1 star") == 1
+    assert parse_stars("Stars: 5") == 5
 
 
 def test_parse_stars_range():
@@ -119,8 +121,8 @@ def test_parse_stars_range():
 
 
 def test_star_glyphs_win_over_digits():
-    assert parse_stars("★★ (2/5)").stars == 2
-    assert parse_stars("rating ★★★★ out of 5").stars == 4
+    assert parse_stars("★★ (2/5)") == 2
+    assert parse_stars("rating ★★★★ out of 5") == 4
 
 
 def test_category_to_ordinal():

@@ -119,13 +119,12 @@ def test_combiners_declare_answer_placeholders():
     assert seen == combiners
 
 
-def _tiny_template(body="hello {name}", placeholders=("name",), optional=()):
+def _tiny_template(body="hello {name}", placeholders=("name",)):
     return PromptTemplate(
         template_id="t",
         version=1,
         body=body,
         placeholders=placeholders,
-        optional=optional,
         schema=ResponseSchema(kind="scalar", lo=0, hi=1),
     )
 
@@ -148,21 +147,9 @@ def test_render_empty_value():
 
 def test_render_is_single_pass():
     # a bound value that looks like a placeholder must not be expanded
-    template = _tiny_template(
-        body="{a} and {b}", placeholders=("a", "b"), optional=()
-    )
+    template = _tiny_template(body="{a} and {b}", placeholders=("a", "b"))
     prompt = render_template(template, {"a": "{b}", "b": "two"})
     assert prompt.final_text == "{b} and two"
-
-
-def test_optional_placeholder_may_be_absent():
-    template = _tiny_template(
-        body="hi {name}{suffix}", placeholders=("name", "suffix"), optional=("suffix",)
-    )
-    assert render_template(template, {"name": "x"}).final_text == "hi x"
-    assert (
-        render_template(template, {"name": "x", "suffix": "!"}).final_text == "hi x!"
-    )
 
 
 def test_template_body_placeholder_cross_check():
@@ -177,7 +164,7 @@ def test_parse_template_text_round_trip():
         "template_id: demo\n"
         "version: 3\n"
         "schema: categorical\n"
-        "placeholders: target_seg, note?\n"
+        "placeholders: target_seg, note\n"
         "class: Bad\n"
         "class: Fine\n"
         "class: Good\n"
@@ -189,7 +176,6 @@ def test_parse_template_text_round_trip():
     assert template.template_id == "demo"
     assert template.version == 3
     assert template.placeholders == ("target_seg", "note")
-    assert template.optional == ("note",)
     assert template.schema.classes == ("Bad", "Fine", "Good")
     # exactly one trailing newline is stripped; interior newlines survive
     assert template.body == "rate {target_seg}{note}\nAnswer:"
