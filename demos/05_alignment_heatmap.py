@@ -6,13 +6,13 @@ makes mistranslated or dropped tokens visible at a glance.
 """
 from pathlib import Path
 
-from kpe import MockProvider, align_tokens, greedy_alignment, render_heatmap, tokenize
+from kpe import MockProvider, align_pairs, greedy_alignment, render_heatmap, tokenize
 from kpe.backend import GenParams
 
 # a reordered paraphrase, so the grid has structure off the diagonal
 src = tokenize("He came home today.")
 mt = tokenize("Today, he came home.")
-matrix = align_tokens(src, mt, MockProvider(), params=GenParams(model_id="mock-1"))
+(matrix,) = align_pairs([(src, mt)], MockProvider(), params=GenParams(model_id="mock-1"))
 
 print("greedy alignment (source <- translation):")
 for i, j, score in greedy_alignment(matrix):

@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports
 _EXPORTS = {
-    "alignment": "AlignmentMatrix TokenList align_pairs align_tokens greedy_alignment "
-                 "render_heatmap tokenize",
+    "alignment": "AlignmentMatrix TokenList align_pairs greedy_alignment render_heatmap "
+                 "tokenize",
     "backend": "CompletionFailure CompletionResult FileCache GenParams HttpProvider "
                "MockFixtures MockProvider cache_key cached_complete overlap_bucket "
                "request_digest run_batch trigram_overlap",
     "chains": "COT_KINDS ESTIMATOR_NAMES ONE_STEP_KINDS SCORING_MODES EstimatorKind "
-              "QualityScore ScoreTable StepRecord estimate_cot1 estimate_cot2 "
-              "estimate_one_step load_score_file score_dataset score_estimators",
+              "QualityScore ScoreTable StepRecord load_score_file score_dataset "
+              "score_estimators",
     "corpus": "EvalDataset RRJudgment Segment SystemOutput dataset_stats load_dataset "
               "load_rr_judgments load_segments load_system_outputs save_dataset_jsonl",
     "errors": "KpeError",

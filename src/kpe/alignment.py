@@ -3,13 +3,14 @@
 The tokenizer splits on whitespace, detaches leading/trailing punctuation
 as their own tokens, and splits CJK runs per character. The aligner asks a
 provider for one similarity percentage per (source token, translation
-token) via the kpe_token_align template, one prompt per pair and every
-pair of a call in one run_batch, parses the response matrix, and scales
+token) via the kpe_token_align template. align_pairs is its one entry
+point: one prompt per pair and every pair of a call in one run_batch (a
+single pair is a one-item list). It parses the response matrix and scales
 to [0, 1]; out-of-range cells are clamped and counted rather than failing
-the whole matrix. A pair that fails gets its own error; the others still
-align. The heatmap is a deterministic, self-contained SVG: one rect per
-cell on a white-to-black linear scale, axis labels, and the exact score as
-hover text.
+the whole matrix. A pair that fails gets its own error in its slot; the
+others still align. The heatmap is a deterministic, self-contained SVG:
+one rect per cell on a white-to-black linear scale, axis labels, and the
+exact score as hover text.
 """
 
 from __future__ import annotations
@@ -216,21 +217,6 @@ def align_pairs(
             clamped=clamped,
         )
     return results  # type: ignore[return-value]
-
-
-def align_tokens(
-    src_tokens: TokenList,
-    mt_tokens: TokenList,
-    provider,
-    cache: FileCache | None = None,
-    *,
-    params: GenParams,
-) -> AlignmentMatrix:
-    """Elicit the full similarity matrix with a single prompt; raise what failed it."""
-    result = align_pairs([(src_tokens, mt_tokens)], provider, cache, params=params)[0]
-    if isinstance(result, KpeError):
-        raise result
-    return result
 
 
 def greedy_alignment(matrix: AlignmentMatrix) -> list[tuple[int, int, float]]:

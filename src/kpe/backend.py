@@ -245,7 +245,8 @@ class HttpProvider:
 
     Retries transport failures, 408, 429 and 5xx up to max_attempts with
     delays retry_base_s * 2**attempt. 401/403 raise AuthError immediately;
-    other 4xx raise ProviderError. The sleep function and the session are
+    other 4xx, and an answer cut off at max_tokens (finish_reason "length"),
+    raise ProviderError. The sleep function and the session are
     injectable for tests: a session is any object with post(url, json=,
     headers=, timeout=) returning a response with .status_code and .json().
     The default is kpe.transport.KeepAliveTransport, which holds at most one
@@ -321,12 +322,17 @@ class HttpProvider:
             if status != 200:
                 raise ProviderError(f"HTTP {status} from provider", status=status)
             try:
-                body = resp.json()
-                text = body["choices"][0]["message"]["content"]
+                choice = resp.json()["choices"][0]
+                text = choice["message"]["content"]
+                finish_reason = choice.get("finish_reason")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise ProviderError(f"malformed provider response: {exc}") from exc
             if not isinstance(text, str):
                 raise ProviderError("provider response content is not text")
+            if finish_reason == "length":
+                raise ProviderError(
+                    f"answer cut off at max_tokens={params.max_tokens} (finish_reason 'length')"
+                )
             return text
         assert last_error is not None
         raise last_error
@@ -645,6 +651,7 @@ def run_batch(
     return results  # type: ignore[return-value]
 
 
+# Unused by kpe; kept because perfbench/tracing.py wraps it by name for --trace 1.
 def cached_complete(
     provider,
     cache: FileCache | None,

@@ -9,16 +9,18 @@ Estimator names:
     cot1                prompt1 + prompt2, then a combining prompt
     cot2                prompt1 + prompt2 + prompt3, then a combining prompt
 
-prompting.ESTIMATORS describes each one. All requested estimators are
-scored by one plan in two stages: every step prompt any estimator needs
-completes (one run_batch call) before any combiner prompt is sent (a
-second call), so a prompt that several estimators share is sent and
-parsed once. Combiner prompts are bound to the parsed class labels of
-earlier steps (not raw responses). A provider failure on any step aborts
-that pair; a parse failure follows the step_failure policy ("abort_pair"
-or "substitute_middle", which binds the step schema's middle class and
-flags the step record). A pair whose earlier step failed records no later
-steps.
+prompting.ESTIMATORS describes each one. score_estimators is the one way
+to score; a single pair is scored as a one-output EvalDataset. All
+requested estimators are scored by one plan in two stages: every step
+prompt any estimator needs completes (one run_batch call) before any
+combiner prompt is sent (a second call), so a prompt that several
+estimators share is sent and parsed once. Combiner prompts are bound to
+the parsed class labels of earlier steps (not raw responses). A failure
+is recorded on its pair, never raised: a provider failure on any step
+aborts that pair; a parse failure follows the step_failure policy
+("abort_pair" or "substitute_middle", which binds the step schema's
+middle class and flags the step record). A pair whose earlier step
+failed records no later steps.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .backend import (
     GenParams,
     run_batch,
 )
-from .corpus import EvalDataset, Segment, SystemOutput
+from .corpus import EvalDataset, SystemOutput
 from .errors import FormatError, InputError, ParseError
 from .parsing import parse_categorical, parse_scalar, parse_stars
 from .prompting import (
@@ -85,11 +87,6 @@ class EstimatorKind:
     def steps(self) -> tuple["EstimatorKind", ...]:
         """A chain's step estimators in stage order; empty for one-step kinds."""
         return tuple(EstimatorKind(s, self.scoring_mode) for s in ESTIMATORS[self.name].steps)
-
-    @property
-    def n_steps(self) -> int:
-        """Prompt rounds per pair: 1 for one-step kinds, steps + combine for chains."""
-        return len(self.steps) + 1 if self.is_cot else 1
 
 
 @dataclass(frozen=True)
@@ -263,11 +260,9 @@ class _PairState:
     steps: list[StepRecord] = field(default_factory=list)
     answers: dict[str, str] = field(default_factory=dict)  # combiner placeholder -> class
     error: str | None = None
-    exc: Exception | None = None
     ordinal: int | float | None = None
 
     def fail(self, stage: str, exc: Exception) -> str:
-        self.exc = exc
         self.error = f"{stage}: {type(exc).__name__}: {exc}"
         return self.error
 
@@ -437,53 +432,8 @@ def score_estimators(
     }
 
 
+# Kept only because perfbench/tiles.py imports it; kpe itself calls score_estimators.
 def score_dataset(estimator: EstimatorKind, dataset: EvalDataset, provider,
                   cache: FileCache | None, **kwargs) -> ScoreTable:
     """Score every system output in the dataset with one estimator."""
     return score_estimators([estimator], dataset, provider, cache, **kwargs)[estimator.name]
-
-
-def _estimate_pair(
-    kind: EstimatorKind,
-    src_text: str,
-    mt_text: str,
-    provider,
-    cache: FileCache | None,
-    *,
-    lp: str = "",
-    system_id: str = "",
-    seg_id: str = "",
-    **kwargs,
-) -> QualityScore:
-    """Run the plan on a one-pair dataset and raise whatever failed the pair."""
-    output = SystemOutput(lp=lp, system_id=system_id, seg_id=seg_id, mt_text=mt_text)
-    dataset = EvalDataset.build([Segment(lp=lp, seg_id=seg_id, src_text=src_text)], [output], [])
-    state = _run_plan([kind], dataset, [output], provider, cache, **kwargs)[kind.name][0]
-    if state.exc is not None:
-        raise state.exc
-    return _quality_score(kind, output, state)
-
-
-def estimate_one_step(
-    kind: EstimatorKind, src_text: str, mt_text: str, provider, cache=None, **kwargs
-) -> QualityScore:
-    """Score one pair with a single-prompt estimator."""
-    if kind.is_cot:
-        raise InputError(f"{kind.name} is a chain; use estimate_cot1/estimate_cot2")
-    return _estimate_pair(kind, src_text, mt_text, provider, cache, **kwargs)
-
-
-def estimate_cot1(
-    src_text: str, mt_text: str, provider, cache=None, *, scoring_mode: str = "cat5", **kwargs
-) -> QualityScore:
-    """Fluency + word-level steps, then a combining prompt."""
-    kind = EstimatorKind(name="cot1", scoring_mode=scoring_mode)
-    return _estimate_pair(kind, src_text, mt_text, provider, cache, **kwargs)
-
-
-def estimate_cot2(
-    src_text: str, mt_text: str, provider, cache=None, *, scoring_mode: str = "cat5", **kwargs
-) -> QualityScore:
-    """Fluency + word-level + sentence-level steps, then a combining prompt."""
-    kind = EstimatorKind(name="cot2", scoring_mode=scoring_mode)
-    return _estimate_pair(kind, src_text, mt_text, provider, cache, **kwargs)

@@ -114,12 +114,6 @@ class EvalDataset:
     def has_output(self, lp: str, system_id: str, seg_id: str) -> bool:
         return (lp, system_id, seg_id) in self._out_index
 
-    def lps(self) -> list[str]:
-        return sorted({s.lp for s in self.segments})
-
-    def systems(self, lp: str) -> list[str]:
-        return sorted({o.system_id for o in self.outputs if o.lp == lp})
-
 
 def _iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, decoded line) pairs, skipping blank lines.

@@ -30,7 +30,6 @@ DROP_POLICIES = ("drop", "middle")
 @dataclass(frozen=True)
 class KendallSummary:
     lp: str
-    estimator: str
     concordant: int
     discordant: int
     excluded: int
@@ -80,7 +79,6 @@ def kendall_tau_rr(
     return {
         lp: KendallSummary(
             lp=lp,
-            estimator=table.estimator.name,
             concordant=t[0],
             discordant=t[1],
             excluded=t[2],
@@ -136,7 +134,6 @@ def pairwise_accuracy(
 
 @dataclass(frozen=True)
 class DistributionStats:
-    mode: str
     counts: tuple[int, ...]
     n_parsed: int
 
@@ -168,7 +165,7 @@ def score_distribution(table: ScoreTable) -> DistributionStats:
             raise ValueError(f"ordinal {score.ordinal} out of range for {mode}")
         counts[idx] += 1
         parsed += 1
-    return DistributionStats(mode=mode, counts=tuple(counts), n_parsed=parsed)
+    return DistributionStats(counts=tuple(counts), n_parsed=parsed)
 
 
 def _schema(table: ScoreTable) -> ResponseSchema:

@@ -76,24 +76,31 @@ def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
 
 
 _STAR_GLYPH_RE = re.compile(r"★+")
-_N_OF_5_RE = re.compile(r"(-?\d+)\s*/\s*5")
+_OUT_OF_RE = re.compile(r"(-?\d+)\s*\(?\s*(?:/|out\s+of)\s*(\d+)", re.IGNORECASE)
 _N_STARS_RE = re.compile(r"(-?\d+)\s*stars?\b", re.IGNORECASE)
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"(-?\d+)")
+_STARS_ANCHOR_RE = re.compile(r"stars:", re.IGNORECASE)
 
 
 def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
-    """Parse a star rating: a run of star glyphs, "N/5", "N stars", or a bare N."""
-    m = _STAR_GLYPH_RE.search(text)
-    if m:
+    """Parse a star rating: star glyphs, "N/hi" or "N out of hi", "N stars", or a bare N.
+
+    The forms are tried in that order, so "4 out of 5 stars" reads 4, not
+    the scale's 5. As in parse_categorical, a response with a `Stars:`
+    anchor is read only after the last one. An "N/M" or "N out of M" whose
+    M is not hi is a RangeError: it rates on another scale.
+    """
+    tail = _STARS_ANCHOR_RE.split(text)[-1]
+    if m := _STAR_GLYPH_RE.search(tail):
         value = len(m.group(0))
+    elif m := _OUT_OF_RE.search(tail):
+        value, scale = int(m.group(1)), int(m.group(2))
+        if scale != hi:
+            raise RangeError(f"{value} out of {scale} is not a rating out of {hi} stars")
+    elif m := _N_STARS_RE.search(tail) or _INT_RE.search(tail):
+        value = int(m.group(1))
     else:
-        for pattern in (_N_OF_5_RE, _N_STARS_RE, _INT_RE):
-            m = pattern.search(text)
-            if m:
-                value = int(m.group(1) if pattern is not _INT_RE else m.group(0))
-                break
-        else:
-            raise NoMatchError(f"no star rating found in {text!r}")
+        raise NoMatchError(f"no star rating found in {text!r}")
     if not lo <= value <= hi:
         raise RangeError(f"{value} stars outside [{lo}, {hi}]")
     return value

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 from kpe.alignment import (
     AlignmentMatrix,
-    align_tokens,
+    align_pairs,
     greedy_alignment,
     render_heatmap,
     tokenize,
@@ -306,7 +306,7 @@ def test_criterion_08_chain_structure(toy):
     with criterion(8, "cot1/cot2 step counts are 3/4 and every digest re-derives"):
         registry = builtin_templates()
         checked_steps = 0
-        for name, n_steps in (("cot1", 3), ("cot2", 4)):
+        for name, n_rounds in (("cot1", 3), ("cot2", 4)):
             table = score_dataset(
                 EstimatorKind(name=name),
                 toy.dataset,
@@ -317,7 +317,7 @@ def test_criterion_08_chain_structure(toy):
             assert table.n_errored == 0
             assert len(table.scores) == 240
             for score in table.scores.values():
-                assert len(score.steps) == n_steps
+                assert len(score.steps) == n_rounds
                 for step in score.steps:
                     prompt = render_template(
                         registry.get(step.template_id), step.bindings
@@ -330,7 +330,7 @@ def test_criterion_08_chain_structure(toy):
 def test_criterion_09_alignment_invariants():
     with criterion(9, "self-alignment peaks on the diagonal; SVG is stable XML"):
         tokens = tokenize("He came home today.")
-        matrix = align_tokens(tokens, tokens, MockProvider(), params=PARAMS)
+        (matrix,) = align_pairs([(tokens, tokens)], MockProvider(), params=PARAMS)
         for row in matrix.cells:
             for value in row:
                 assert 0.0 <= value <= 1.0

@@ -13,7 +13,6 @@ from kpe.alignment import (
     TokenList,
     _parse_matrix_text,
     align_pairs,
-    align_tokens,
     greedy_alignment,
     render_heatmap,
     tokenize,
@@ -117,9 +116,9 @@ def test_matrix_shape_validation():
 
 # elicitation -----------------------------------------------------------------
 
-def test_align_tokens_mock_self_alignment():
+def test_align_one_pair_mock_self_alignment():
     tokens = tokenize("He came home today.")
-    matrix = align_tokens(tokens, tokens, MockProvider(), params=PARAMS)
+    (matrix,) = align_pairs([(tokens, tokens)], MockProvider(), params=PARAMS)
     n = len(tokens)
     for i in range(n):
         for j in range(n):
@@ -129,11 +128,13 @@ def test_align_tokens_mock_self_alignment():
                 assert matrix.cells[i][j] == pytest.approx(0.02)
 
 
-def test_align_tokens_grid_guard():
+def test_align_one_pair_grid_guard():
     big = TokenList(tokens=tuple(f"t{i}" for i in range(33)))
     assert 33 * 33 > MAX_GRID_CELLS
-    with pytest.raises(InputTooLargeError):
-        align_tokens(big, big, MockProvider(), params=PARAMS)
+    provider = MockProvider()
+    (result,) = align_pairs([(big, big)], provider, params=PARAMS)
+    assert isinstance(result, InputTooLargeError)
+    assert provider.calls == 0
 
 
 class TrackingProvider(MockProvider):
@@ -187,7 +188,7 @@ def test_align_pairs_sends_each_unique_prompt_once_within_max_in_flight(tmp_path
     assert provider.calls == len(set(provider.seen)) == 5
     assert provider.peak <= 2
     for (src, mt), matrix in zip(pairs, results):
-        assert matrix == align_tokens(src, mt, MockProvider(), params=PARAMS)
+        assert matrix == align_pairs([(src, mt)], MockProvider(), params=PARAMS)[0]
 
 
 def test_align_pairs_warm_rerun_makes_no_calls(tmp_path):

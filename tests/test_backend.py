@@ -358,6 +358,27 @@ def test_http_malformed_body_is_provider_error():
         provider2.complete(_prompt("x"), PARAMS)
 
 
+def test_http_truncated_answer_is_a_provider_error_not_retried(tmp_path):
+    def answer(finish_reason):
+        choice = {"message": {"content": "Class: Perf"}, "finish_reason": finish_reason}
+        return FakeResponse(200, {"choices": [choice]})
+
+    provider, session, sleeps = _provider([answer("length")])
+    with pytest.raises(ProviderError, match="cut off at max_tokens=256"):
+        provider.complete(_prompt("x"), PARAMS)
+    assert sleeps == [] and len(session.requests) == 1
+    # in a batch it is the prompt's recorded failure, and nothing is cached
+    provider, _, _ = _provider([answer("length")])
+    cache = FileCache(tmp_path / "cache")
+    (outcome,) = run_batch(provider, cache, [_prompt("x")], PARAMS)
+    assert isinstance(outcome, CompletionFailure)
+    assert outcome.error_kind == "ProviderError"
+    assert "cut off" in outcome.message
+    assert list(cache.cache_dir.glob("*/*.json")) == []
+    provider, _, _ = _provider([answer("stop")])
+    assert provider.complete(_prompt("x"), PARAMS) == "Class: Perf"
+
+
 # trigram grading --------------------------------------------------------
 
 def test_char_trigrams():
@@ -558,6 +579,42 @@ def test_run_batch_coalesces_duplicates(tmp_path):
     for prompt, result in zip(prompts, results):
         assert isinstance(result, CompletionResult)
         assert result.text == f"echo {prompt.final_text}"
+
+
+class InterruptedProvider(CountingProvider):
+    """Raises KeyboardInterrupt on call number `at`.
+
+    Calls take 10 ms, and those after `at` take 200 ms, which leaves the
+    caller ample time to cancel what is still pending.
+    """
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        time.sleep(0.01 if call < self.at else 0.2)
+        if call == self.at:
+            raise KeyboardInterrupt
+        return f"echo {prompt.final_text}"
+
+
+def test_run_batch_interrupt_cancels_pending_prompts_and_a_rerun_sends_the_rest(tmp_path):
+    prompts = [_prompt(f"q{i}") for i in range(200)]
+    provider = InterruptedProvider(at=15)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(provider, FileCache(tmp_path / "cache"), prompts, PARAMS, max_in_flight=2)
+    # pending prompts are cancelled; only the two workers' next calls may still start
+    assert 15 <= provider.calls <= 15 + 2
+    written = len(list((tmp_path / "cache").glob("*/*.json")))
+    assert written == provider.calls - 1  # every answered call, none of the interrupted one
+    rerun, cache = CountingProvider(), FileCache(tmp_path / "cache")
+    results = run_batch(rerun, cache, prompts, PARAMS, max_in_flight=2)
+    assert (cache.hits, rerun.calls) == (written, 200 - written)
+    assert [r.text for r in results] == [f"echo q{i}" for i in range(200)]
 
 
 def test_run_batch_preserves_input_order(tmp_path):

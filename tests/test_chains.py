@@ -7,15 +7,12 @@ import pytest
 from kpe.backend import FileCache, GenParams, MockFixtures, MockProvider, request_digest
 from kpe.chains import (
     EstimatorKind,
-    estimate_cot1,
-    estimate_cot2,
-    estimate_one_step,
     load_score_file,
     score_dataset,
     score_estimators,
 )
 from kpe.corpus import EvalDataset, Segment, SystemOutput
-from kpe.errors import InputError, ParseError, TransportError
+from kpe.errors import InputError, TransportError
 from kpe.prompting import ESTIMATORS, builtin_templates, render_template
 
 PARAMS = GenParams(model_id="mock-1")
@@ -43,12 +40,19 @@ def identical_pair():
     return dataset, MockProvider(fixtures=fixtures)
 
 
+def _score_one(kind, dataset, provider, cache=None, **kwargs):
+    """Score a one-output dataset with one estimator and return that output's score."""
+    (output,) = dataset.outputs
+    table = score_estimators([kind], dataset, provider, cache, params=PARAMS, **kwargs)[kind.name]
+    return table.get(output.lp, output.system_id, output.seg_id)
+
+
 # estimator kinds ---------------------------------------------------------
 
 def test_estimator_kind_validation():
-    assert EstimatorKind(name="cot1").n_steps == 3
-    assert EstimatorKind(name="cot2").n_steps == 4
-    assert EstimatorKind(name="gemba").n_steps == 1
+    assert len(EstimatorKind(name="cot1").steps) == 2
+    assert len(EstimatorKind(name="cot2").steps) == 3
+    assert EstimatorKind(name="gemba").steps == ()
     with pytest.raises(InputError):
         EstimatorKind(name="cot3")
     with pytest.raises(InputError):
@@ -82,10 +86,7 @@ def test_template_routing():
 # single-pair estimation ----------------------------------------------------
 
 def test_one_step_trace(identical_pair):
-    _, provider = identical_pair
-    score = estimate_one_step(
-        EstimatorKind(name="gemba"), "quelle s1", IDENTICAL, provider, params=PARAMS
-    )
+    score = _score_one(EstimatorKind(name="gemba"), *identical_pair)
     assert score.ordinal == 4
     assert len(score.steps) == 1
     step = score.steps[0]
@@ -94,29 +95,13 @@ def test_one_step_trace(identical_pair):
     assert step.response_text == "Class: Perfect translation"
 
 
-def test_one_step_rejects_chain_kinds(identical_pair):
-    _, provider = identical_pair
-    with pytest.raises(InputError):
-        estimate_one_step(
-            EstimatorKind(name="cot1"), "q", "mt text", provider, params=PARAMS
-        )
-
-
 def test_perplexity_binds_translation_only(identical_pair):
-    _, provider = identical_pair
-    score = estimate_one_step(
-        EstimatorKind(name="prompt1_perplexity"),
-        "quelle s1",
-        IDENTICAL,
-        provider,
-        params=PARAMS,
-    )
+    score = _score_one(EstimatorKind(name="prompt1_perplexity"), *identical_pair)
     assert set(score.steps[0].bindings) == {"target_seg"}
 
 
 def test_cot1_trace_structure(identical_pair):
-    _, provider = identical_pair
-    score = estimate_cot1("quelle s1", IDENTICAL, provider, params=PARAMS)
+    score = _score_one(EstimatorKind(name="cot1"), *identical_pair)
     assert score.ordinal == 4
     assert [s.template_id for s in score.steps] == [
         "kpe_perplexity",
@@ -131,8 +116,7 @@ def test_cot1_trace_structure(identical_pair):
 
 
 def test_cot2_trace_structure(identical_pair):
-    _, provider = identical_pair
-    score = estimate_cot2("quelle s1", IDENTICAL, provider, params=PARAMS)
+    score = _score_one(EstimatorKind(name="cot2"), *identical_pair)
     assert score.ordinal == 4
     assert len(score.steps) == 4
     assert score.steps[-1].bindings["sentence_answer"] == "Identical meaning"
@@ -144,34 +128,34 @@ def _rerender(step):
 
 
 def test_step_digests_rederivable(identical_pair):
-    _, provider = identical_pair
-    score = estimate_cot2("quelle s1", IDENTICAL, provider, params=PARAMS)
+    score = _score_one(EstimatorKind(name="cot2"), *identical_pair)
     for step in score.steps:
         assert request_digest(_rerender(step), PARAMS) == step.digest
 
 
 def test_one_pair_corrupt_cache_entry_is_asked_again(identical_pair, tmp_path):
     # one corrupt file in a one-item batch is not a corruption storm
-    _, provider = identical_pair
+    dataset, provider = identical_pair
     cache = FileCache(tmp_path / "cache")
     kind = EstimatorKind(name="gemba")
-    first = estimate_one_step(kind, "quelle s1", IDENTICAL, provider, cache, params=PARAMS)
+    first = _score_one(kind, dataset, provider, cache)
     assert first.ordinal == 4
     (path,) = cache.cache_dir.glob("*/*.json")
     path.write_text("garbage", encoding="utf-8")
     calls = provider.calls
-    score = estimate_one_step(kind, "quelle s1", IDENTICAL, provider, cache, params=PARAMS)
+    score = _score_one(kind, dataset, provider, cache)
     assert score.ordinal == 4
     assert provider.calls == calls + 1
     assert path.with_suffix(".json.corrupt").exists()
 
 
-def test_empty_mt_rejected(identical_pair):
-    _, provider = identical_pair
-    with pytest.raises(InputError):
-        estimate_one_step(
-            EstimatorKind(name="gemba"), "quelle s1", "   ", provider, params=PARAMS
-        )
+def test_empty_mt_rejected():
+    dataset, fixtures = _pair_fixtures({"s1": "   "}, {"s1": IDENTICAL})
+    provider = MockProvider(fixtures=fixtures)
+    score = _score_one(EstimatorKind(name="gemba"), dataset, provider)
+    assert score.ordinal is None
+    assert score.error == "input: InputError: empty mt_text"
+    assert provider.calls == 0
 
 
 # parse-failure policies ----------------------------------------------------
@@ -193,17 +177,18 @@ class GarblingProvider:
 
 
 def test_step_parse_failure_aborts_pair_by_default(identical_pair):
-    _, mock = identical_pair
+    dataset, mock = identical_pair
     provider = GarblingProvider(mock, {"kpe_perplexity"})
-    with pytest.raises(ParseError):
-        estimate_cot1("quelle s1", IDENTICAL, provider, params=PARAMS)
+    score = _score_one(EstimatorKind(name="cot1"), dataset, provider)
+    assert score.ordinal is None
+    assert score.error.startswith("step1:kpe_perplexity: NoMatchError")
 
 
 def test_step_parse_failure_substitutes_middle(identical_pair):
-    _, mock = identical_pair
+    dataset, mock = identical_pair
     provider = GarblingProvider(mock, {"kpe_perplexity"})
-    score = estimate_cot1(
-        "quelle s1", IDENTICAL, provider, params=PARAMS, step_failure="substitute_middle"
+    score = _score_one(
+        EstimatorKind(name="cot1"), dataset, provider, step_failure="substitute_middle"
     )
     first = score.steps[0]
     assert first.parsed_class == "Moderately fluent"
@@ -213,16 +198,13 @@ def test_step_parse_failure_substitutes_middle(identical_pair):
 
 
 def test_final_parse_failure_never_substituted(identical_pair):
-    _, mock = identical_pair
+    dataset, mock = identical_pair
     provider = GarblingProvider(mock, {"kpe_cot1_combine"})
-    with pytest.raises(ParseError):
-        estimate_cot1(
-            "quelle s1",
-            IDENTICAL,
-            provider,
-            params=PARAMS,
-            step_failure="substitute_middle",
-        )
+    score = _score_one(
+        EstimatorKind(name="cot1"), dataset, provider, step_failure="substitute_middle"
+    )
+    assert score.ordinal is None
+    assert score.error.startswith("combine:kpe_cot1_combine: NoMatchError")
 
 
 # dataset scoring -----------------------------------------------------------
@@ -329,8 +311,8 @@ def test_default_estimators_share_step_prompts(toy):
     assert all(tables[name].n_parsed == 240 for name in names)
 
 
-def test_single_pair_reraises_the_provider_error(identical_pair):
-    _, mock = identical_pair
+def test_single_pair_records_the_provider_error(identical_pair):
+    dataset, mock = identical_pair
     error = TransportError("connection refused")
 
     class Refusing:
@@ -341,9 +323,9 @@ def test_single_pair_reraises_the_provider_error(identical_pair):
                 raise error
             return mock.complete(prompt, params)
 
-    with pytest.raises(TransportError) as caught:
-        estimate_cot2("quelle s1", IDENTICAL, Refusing(), params=PARAMS)
-    assert caught.value is error
+    score = _score_one(EstimatorKind(name="cot2"), dataset, Refusing())
+    assert score.ordinal is None
+    assert score.error == "step2:kpe_token_sim: TransportError: connection refused"
 
 
 def test_chain_reuses_cached_step_responses(tmp_path, identical_pair):

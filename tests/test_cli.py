@@ -17,6 +17,7 @@ from kpe.backend import MockProvider
 from kpe.cli import RunConfig, build_run_config, main, parse_max_age
 from kpe.corpus import load_dataset, save_dataset_jsonl
 from kpe.errors import ConfigError, TransportError
+from kpe.toydata import write_toy_corpus
 
 REF_S1 = "der hund laeuft schnell heute"
 REF_S2 = "die katze schlaeft gerne hier"
@@ -284,6 +285,48 @@ def test_score_rerun_hits_cache(tmp_path):
     assert summary["provider_calls"] == 0
     assert summary["cache"]["hits"] == 4
     assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
+
+
+def test_score_rerun_after_an_interrupt_matches_an_uninterrupted_run(tmp_path, monkeypatch):
+    write_toy_corpus(tmp_path)
+    cfg = {
+        "segments": str(tmp_path / "segments.tsv"),
+        "outputs": str(tmp_path / "outputs.tsv"),
+        "judgments": str(tmp_path / "judgments.tsv"),
+        "provider": "mock",
+        "mock_fixtures": str(tmp_path / "fixtures.json"),
+        "max_in_flight": 2,
+    }
+    path = write_config(tmp_path, cfg)
+    runner = CliRunner()
+
+    def score(name: str):
+        return runner.invoke(main, ["score", "--config", path, "--out", str(tmp_path / name),
+                                    "--cache-dir", str(tmp_path / f"cache_{name}")])
+
+    assert score("clean").exit_code == 0
+    complete, calls = MockProvider.complete, []
+
+    def interrupted(self, prompt, params):
+        calls.append(prompt)
+        if len(calls) == 15:
+            raise KeyboardInterrupt
+        return complete(self, prompt, params)
+
+    monkeypatch.setattr(MockProvider, "complete", interrupted)
+    assert score("resumed").exit_code == 1  # click reports "Aborted!"
+    assert list((tmp_path / "resumed").glob("scores_*.jsonl")) == []
+    written = len(list((tmp_path / "cache_resumed").glob("*/*.json")))
+    assert written >= 14
+    monkeypatch.undo()
+    assert score("resumed").exit_code == 0
+    summary = json.loads((tmp_path / "resumed" / "run_summary.json").read_text())
+    assert summary["cache"]["hits"] == written
+    assert summary["provider_calls"] == 1200 - written
+    clean = sorted((tmp_path / "clean").glob("scores_*.jsonl"))
+    assert len(clean) == 5
+    for file in clean:
+        assert (tmp_path / "resumed" / file.name).read_bytes() == file.read_bytes()
 
 
 def _answer_not_text(raw: bytes) -> bytes:

@@ -66,8 +66,9 @@ def test_load_tsv_corpus(corpus_files):
     assert len(dataset.judgments) == 3
     assert dataset.get_segment("de-en", "seg1").src_text == "Guten Morgen ."
     assert dataset.get_output("de-en", "sysB", "seg2").mt_text == "how goes"
-    assert dataset.lps() == ["de-en", "zh-en"]
-    assert dataset.systems("de-en") == ["sysA", "sysB"]
+    stats = dataset_stats(dataset)
+    assert list(stats) == ["de-en", "zh-en"]
+    assert stats["de-en"]["n_systems"] == 2
 
 
 def test_fields_are_trimmed(tmp_path):

@@ -120,6 +120,17 @@ def test_parse_stars_range():
         parse_stars("no rating")
 
 
+def test_parse_stars_reads_the_rating_not_the_scale():
+    assert parse_stars("4 out of 5 stars", 1, 5) == 4
+    assert parse_stars("Stars: 4 (out of 5 stars)", 1, 5) == 4
+    # only the text after the last anchor is read, so an echoed scale is skipped
+    assert parse_stars("Rate it from 1 to 5 stars.\nStars: 2", 1, 5) == 2
+    # the denominator is the caller's top of scale, not a literal 5
+    assert parse_stars("7/10 stars", 1, 10) == 7
+    with pytest.raises(RangeError):
+        parse_stars("3 out of 10", 1, 5)
+
+
 def test_star_glyphs_win_over_digits():
     assert parse_stars("★★ (2/5)") == 2
     assert parse_stars("rating ★★★★ out of 5") == 4
