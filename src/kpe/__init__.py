@@ -19,13 +19,12 @@ _EXPORTS = {
     "alignment": "AlignmentMatrix TokenList align_pairs greedy_alignment render_heatmap "
                  "tokenize",
     "backend": "CompletionFailure CompletionResult FileCache GenParams HttpProvider "
-               "MockFixtures MockProvider cache_key cached_complete overlap_bucket "
-               "request_digest run_batch trigram_overlap",
+               "MockFixtures MockProvider cache_key overlap_bucket request_digest run_batch "
+               "trigram_overlap",
     "chains": "COT_KINDS ESTIMATOR_NAMES ONE_STEP_KINDS SCORING_MODES EstimatorKind "
-              "QualityScore ScoreTable StepRecord load_score_file score_dataset "
-              "score_estimators",
+              "QualityScore ScoreTable StepRecord load_score_file score_estimators",
     "corpus": "EvalDataset RRJudgment Segment SystemOutput dataset_stats load_dataset "
-              "load_rr_judgments load_segments load_system_outputs save_dataset_jsonl",
+              "load_rr_judgments load_segments load_system_outputs save_dataset",
     "errors": "KpeError",
     "metrics": "DistributionStats KendallSummary kendall_tau_rr pairwise_accuracy "
                "score_distribution system_score",

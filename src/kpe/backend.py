@@ -42,8 +42,10 @@ from .errors import (
 )
 from .parsing import category_to_ordinal
 from .prompting import (
+    ANSWER_ANCHORS,
     ESTIMATORS,
     RenderedPrompt,
+    ResponseSchema,
     builtin_templates,
     parse_token_list,
 )
@@ -468,14 +470,20 @@ class MockFixtures:
         raise MissingFixtureError(f"no pseudo-reference for {key}")
 
 
-def _aspect_of(template_id: str) -> str:
-    if template_id.startswith("kpe_perplexity"):
-        return "fluency"
-    if template_id.startswith("kpe_token_sim"):
-        return "token"
-    if template_id.startswith("kpe_sent_sim"):
-        return "sentence"
-    return "base"
+# The pseudo-reference each one-step estimator is graded against.
+ESTIMATOR_ASPECT = {
+    "gemba": "base",
+    "prompt1_perplexity": "fluency",
+    "prompt2_token": "token",
+    "prompt3_sentence": "sentence",
+}
+
+# Every quality template id -> (estimator, scoring mode) that asks it.
+_TEMPLATE_USE = {
+    template_id: (name, mode)
+    for name, spec in ESTIMATORS.items()
+    for mode, template_id in spec.templates.items()
+}
 
 
 class MockProvider:
@@ -485,6 +493,7 @@ class MockProvider:
     translation and the segment's pseudo-reference (both lowercased),
     bucketed into the prompt's classes. Combiner prompts answer with the
     class at the rounded mean of the step answers bound into the prompt.
+    Both answer as `<anchor> <value>`, with the schema's answer anchor.
     Alignment prompts get a percentage matrix: 95 for identical punctuation
     tokens, 100 for case-insensitively equal tokens, 2 otherwise. Responses
     are a pure function of (rendered prompt, fixtures).
@@ -501,11 +510,14 @@ class MockProvider:
             self.calls += 1
         if prompt.template_id == "kpe_token_align":
             return self._align_response(prompt)
-        for chain in ESTIMATORS.values():
-            for mode, template_id in chain.templates.items():
-                if chain.steps and template_id == prompt.template_id:
-                    return self._combine_response(prompt, chain.steps, mode)
-        return self._quality_response(prompt)
+        schema = builtin_templates().get(prompt.template_id).schema
+        name, mode = _TEMPLATE_USE[prompt.template_id]
+        steps = ESTIMATORS[name].steps
+        if steps:
+            answer = self._combine_answer(prompt, steps, mode, schema)
+        else:
+            answer = self._quality_answer(prompt, ESTIMATOR_ASPECT[name], schema)
+        return f"{ANSWER_ANCHORS[schema.kind]} {answer}"
 
     def _align_response(self, prompt: RenderedPrompt) -> str:
         src_tokens = parse_token_list(prompt.bindings["source_seg"])
@@ -523,32 +535,30 @@ class MockProvider:
             lines.append(", ".join(cells))
         return "\n".join(lines)
 
-    def _combine_response(self, prompt: RenderedPrompt, steps: tuple[str, ...], mode: str) -> str:
-        template = builtin_templates().get(prompt.template_id)
+    def _combine_answer(self, prompt: RenderedPrompt, steps: tuple[str, ...], mode: str,
+                        schema: ResponseSchema) -> str:
         indexes = []
         for step in steps:
             spec = ESTIMATORS[step]
-            schema = builtin_templates().get(spec.templates[mode]).schema
-            indexes.append(category_to_ordinal(prompt.bindings[spec.answer], schema))
-        final = int(sum(indexes) / len(indexes) + 0.5)  # round half up
-        return f"Class: {template.schema.classes[final]}"
+            step_schema = builtin_templates().get(spec.templates[mode]).schema
+            indexes.append(category_to_ordinal(prompt.bindings[spec.answer], step_schema))
+        return schema.classes[int(sum(indexes) / len(indexes) + 0.5)]  # round half up
 
-    def _quality_response(self, prompt: RenderedPrompt) -> str:
+    def _quality_answer(self, prompt: RenderedPrompt, aspect: str,
+                        schema: ResponseSchema) -> str | int:
         if self.fixtures is None:
             raise MissingFixtureError("mock provider was built without fixtures")
         mt_text = prompt.bindings["target_seg"]
         src_text = prompt.bindings.get("source_seg")
         key = self.fixtures.locate(mt_text, src_text)
-        ref = self.fixtures.ref(_aspect_of(prompt.template_id), key)
+        ref = self.fixtures.ref(aspect, key)
         o = trigram_overlap(mt_text.lower(), ref.lower())
-        schema = builtin_templates().get(prompt.template_id).schema
         if schema.kind == "categorical":
-            idx = overlap_bucket(o, len(schema.classes))
-            return f"Class: {schema.classes[idx]}"
+            return schema.classes[overlap_bucket(o, len(schema.classes))]
         if schema.kind == "stars":
             span = int(schema.hi) - int(schema.lo) + 1
-            return f"Stars: {int(schema.lo) + overlap_bucket(o, span)}"
-        return f"Score: {round(schema.lo + o * (schema.hi - schema.lo))}"
+            return int(schema.lo) + overlap_bucket(o, span)
+        return round(schema.lo + o * (schema.hi - schema.lo))
 
 
 # cached completion and batching ----------------------------------------------

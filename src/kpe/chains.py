@@ -21,6 +21,11 @@ aborts that pair; a parse failure follows the step_failure policy
 ("abort_pair" or "substitute_middle", which binds the step schema's
 middle class and flags the step record). A pair whose earlier step
 failed records no later steps.
+
+A score file holds one JSON object per QualityScore, with the fields and
+JSON types that _FIELDS lists for it and for each of its steps; each key
+is the name of the record's own attribute. write_jsonl and
+load_score_file both read that table.
 """
 
 from __future__ import annotations
@@ -94,17 +99,16 @@ class StepRecord:
     """Full trace of one prompt round for one (system, segment) pair.
 
     bindings are kept in memory so the digest can be re-derived by
-    re-rendering; the persisted form keeps only (template_id, version,
-    digest, parsed) and raw responses stay in the cache, addressed by
-    digest.
+    re-rendering; the persisted form keeps only the fields _FIELDS lists
+    and raw responses stay in the cache, addressed by digest.
     """
 
     template_id: str
     version: int
     digest: str
-    bindings: dict[str, str] = field(compare=False)
+    bindings: dict[str, str] = field(default_factory=dict, compare=False)
     response_text: str | None = None
-    parsed_ordinal: int | float | None = None
+    parsed: int | float | None = None
     parsed_class: str | None = None
     error: str | None = None
 
@@ -119,6 +123,55 @@ class QualityScore:
     ordinal: int | float | None
     error: str | None
     steps: tuple[StepRecord, ...]
+
+
+# The JSON fields of each persisted record, with their types; a field typed
+# with a record class holds a list of those records.
+_FIELDS: dict[type, dict[str, type | tuple[type, ...]]] = {
+    QualityScore: {
+        "lp": str,
+        "system_id": str,
+        "seg_id": str,
+        "estimator": str,
+        "mode": str,
+        "ordinal": (int, float, type(None)),
+        "error": (str, type(None)),
+        "steps": StepRecord,
+    },
+    StepRecord: {
+        "template_id": str,
+        "version": int,
+        "digest": str,
+        "parsed": (int, float, type(None)),
+    },
+}
+
+
+def _to_json(record) -> dict:
+    """The record's persisted fields as a JSON object."""
+    obj = {}
+    for name, kind in _FIELDS[type(record)].items():
+        value = getattr(record, name)
+        obj[name] = [_to_json(item) for item in value] if kind in _FIELDS else value
+    return obj
+
+
+def _field(obj: dict, name: str, types: type | tuple[type, ...]):
+    value = obj[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise TypeError(f"field {name!r} is {value!r}")
+    return value
+
+
+def _from_json(obj: dict, cls: type):
+    """Inverse of _to_json; a missing field is a KeyError, a mistyped one a TypeError."""
+    values = {}
+    for name, kind in _FIELDS[cls].items():
+        if kind in _FIELDS:
+            values[name] = tuple(_from_json(item, kind) for item in _field(obj, name, list))
+        else:
+            values[name] = _field(obj, name, kind)
+    return cls(**values)
 
 
 @dataclass
@@ -147,34 +200,8 @@ class ScoreTable:
         """One object per score, sorted by key; deterministic bytes."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key in sorted(self.scores):
-                score = self.scores[key]
-                obj = {
-                    "lp": score.lp,
-                    "system_id": score.system_id,
-                    "seg_id": score.seg_id,
-                    "estimator": score.estimator,
-                    "mode": score.mode,
-                    "ordinal": score.ordinal,
-                    "error": score.error,
-                    "steps": [
-                        {
-                            "template_id": step.template_id,
-                            "version": step.version,
-                            "digest": step.digest,
-                            "parsed": step.parsed_ordinal,
-                        }
-                        for step in score.steps
-                    ],
-                }
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+                fh.write(json.dumps(_to_json(self.scores[key]), ensure_ascii=False, sort_keys=True))
                 fh.write("\n")
-
-
-def _field(obj: dict, name: str, types: type | tuple[type, ...]):
-    value = obj[name]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise TypeError(f"field {name!r} is {value!r}")
-    return value
 
 
 def load_score_file(path: str | Path) -> ScoreTable:
@@ -190,28 +217,8 @@ def load_score_file(path: str | Path) -> ScoreTable:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line.decode("utf-8"))
-                kind = EstimatorKind(_field(obj, "estimator", str), _field(obj, "mode", str))
-                steps = tuple(
-                    StepRecord(
-                        template_id=_field(s, "template_id", str),
-                        version=_field(s, "version", int),
-                        digest=_field(s, "digest", str),
-                        bindings={},
-                        parsed_ordinal=_field(s, "parsed", (int, float, type(None))),
-                    )
-                    for s in _field(obj, "steps", list)
-                )
-                score = QualityScore(
-                    lp=_field(obj, "lp", str),
-                    system_id=_field(obj, "system_id", str),
-                    seg_id=_field(obj, "seg_id", str),
-                    estimator=kind.name,
-                    mode=kind.scoring_mode,
-                    ordinal=_field(obj, "ordinal", (int, float, type(None))),
-                    error=_field(obj, "error", (str, type(None))),
-                    steps=steps,
-                )
+                score = _from_json(json.loads(line.decode("utf-8")), QualityScore)
+                kind = EstimatorKind(score.estimator, score.mode)
             except KeyError as exc:
                 raise FormatError(str(path), line_no, f"missing field {exc}") from exc
             except (TypeError, ValueError, InputError) as exc:
@@ -285,7 +292,7 @@ class _PairState:
         exc = answer.parse_error
         if exc is None:
             self.steps.append(StepRecord(
-                **record, parsed_ordinal=answer.ordinal, parsed_class=answer.class_string
+                **record, parsed=answer.ordinal, parsed_class=answer.class_string
             ))
             if final:
                 self.ordinal = answer.ordinal

@@ -7,8 +7,10 @@ File formats (tab-separated, no header, UTF-8, LF):
     judgments:  lp <TAB> seg_id <TAB> better_system <TAB> worse_system
 
 Each file also has a canonical JSONL mirror: one object per line with the
-same field names. Text fields are trimmed of leading/trailing whitespace.
-Invalid UTF-8 anywhere is a FormatError, not a silent replacement.
+same field names. _SEGMENT_FIELDS, _OUTPUT_FIELDS and _JUDGMENT_FIELDS
+hold these columns; the loaders and save_dataset read them in both
+formats. Text fields are trimmed of leading/trailing whitespace. Invalid
+UTF-8 anywhere is a FormatError, not a silent replacement.
 """
 
 from __future__ import annotations
@@ -160,48 +162,48 @@ def _parse_jsonl(path: str, line_no: int, line: str, fields: tuple[str, ...]) ->
     return values
 
 
-def _check_lp(path: str, line_no: int, lp: str) -> None:
-    if not _LP_RE.fullmatch(lp):
-        raise FormatError(path, line_no, f"bad language pair: {lp!r}")
-
-
 FORMATS = ("tsv", "jsonl")
 
+# The columns of each file, in TSV order; the JSONL keys have the same names.
+_SEGMENT_FIELDS = ("lp", "seg_id", "src_text")
+_OUTPUT_FIELDS = ("lp", "system_id", "seg_id", "mt_text")
+_JUDGMENT_FIELDS = ("lp", "seg_id", "better_system", "worse_system")
 
-def _records(
-    path: str | Path, fmt: str, fields: tuple[str, ...]
-) -> Iterator[tuple[int, list[str]]]:
+
+def _records(path: str | Path, fmt: str, cls: type, fields: tuple[str, ...]) -> Iterator:
+    """Yield (line_no, record) per line, with fields naming its columns in order."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
     p = str(path)
     for line_no, line in _iter_lines(path):
         if fmt == "tsv":
-            yield line_no, _split_tsv(p, line_no, line, len(fields))
+            values = _split_tsv(p, line_no, line, len(fields))
         else:
-            yield line_no, _parse_jsonl(p, line_no, line, fields)
+            values = _parse_jsonl(p, line_no, line, fields)
+        record = cls(**dict(zip(fields, values)))
+        if not _LP_RE.fullmatch(record.lp):
+            raise FormatError(p, line_no, f"bad language pair: {record.lp!r}")
+        yield line_no, record
 
 
-_SEGMENT_FIELDS = ("lp", "seg_id", "src_text")
-_OUTPUT_FIELDS = ("lp", "system_id", "seg_id", "mt_text")
-_JUDGMENT_FIELDS = ("lp", "seg_id", "better_system", "worse_system")
+def _check_unique(path, line_no: int, seen: dict, noun: str, key: tuple[str, ...]) -> None:
+    if key in seen:
+        raise DuplicateKeyError(
+            str(path), line_no,
+            f"duplicate {noun} {'/'.join(key)} (first seen line {seen[key]})",
+        )
+    seen[key] = line_no
 
 
 def load_segments(path: str | Path, fmt: str = "tsv") -> list[Segment]:
     """Load source segments; duplicate (lp, seg_id) is a DuplicateKeyError."""
     out: list[Segment] = []
     seen: dict[tuple[str, str], int] = {}
-    for line_no, (lp, seg_id, src_text) in _records(path, fmt, _SEGMENT_FIELDS):
-        _check_lp(str(path), line_no, lp)
-        if not src_text:
+    for line_no, segment in _records(path, fmt, Segment, _SEGMENT_FIELDS):
+        if not segment.src_text:
             raise FormatError(str(path), line_no, "empty src_text")
-        key = (lp, seg_id)
-        if key in seen:
-            raise DuplicateKeyError(
-                str(path), line_no,
-                f"duplicate segment {lp}/{seg_id} (first seen line {seen[key]})",
-            )
-        seen[key] = line_no
-        out.append(Segment(lp=lp, seg_id=seg_id, src_text=src_text))
+        _check_unique(path, line_no, seen, "segment", (segment.lp, segment.seg_id))
+        out.append(segment)
     return out
 
 
@@ -209,30 +211,22 @@ def load_system_outputs(path: str | Path, fmt: str = "tsv") -> list[SystemOutput
     """Load system outputs; duplicate (lp, system_id, seg_id) is rejected."""
     out: list[SystemOutput] = []
     seen: dict[tuple[str, str, str], int] = {}
-    for line_no, (lp, system_id, seg_id, mt_text) in _records(path, fmt, _OUTPUT_FIELDS):
-        _check_lp(str(path), line_no, lp)
-        key = (lp, system_id, seg_id)
-        if key in seen:
-            raise DuplicateKeyError(
-                str(path), line_no,
-                f"duplicate output {lp}/{system_id}/{seg_id} "
-                f"(first seen line {seen[key]})",
-            )
-        seen[key] = line_no
-        out.append(SystemOutput(lp=lp, system_id=system_id, seg_id=seg_id, mt_text=mt_text))
+    for line_no, output in _records(path, fmt, SystemOutput, _OUTPUT_FIELDS):
+        _check_unique(path, line_no, seen, "output",
+                      (output.lp, output.system_id, output.seg_id))
+        out.append(output)
     return out
 
 
 def load_rr_judgments(path: str | Path, fmt: str = "tsv") -> list[RRJudgment]:
     """Load ranking judgments. Duplicates are preserved; self-comparisons are not."""
     out: list[RRJudgment] = []
-    for line_no, (lp, seg_id, better, worse) in _records(path, fmt, _JUDGMENT_FIELDS):
-        _check_lp(str(path), line_no, lp)
-        if better == worse:
+    for line_no, judgment in _records(path, fmt, RRJudgment, _JUDGMENT_FIELDS):
+        if judgment.better_system == judgment.worse_system:
             raise SelfComparisonError(
-                f"{path}:{line_no}: judgment compares {better!r} with itself"
+                f"{path}:{line_no}: judgment compares {judgment.better_system!r} with itself"
             )
-        out.append(RRJudgment(lp=lp, seg_id=seg_id, better_system=better, worse_system=worse))
+        out.append(judgment)
     return out
 
 
@@ -249,46 +243,42 @@ def load_dataset(
     )
 
 
-def _dump_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+def _line(record, fields: tuple[str, ...], fmt: str) -> str:
+    values = [getattr(record, name) for name in fields]
+    if fmt == "jsonl":
+        return json.dumps(dict(zip(fields, values)), ensure_ascii=False, sort_keys=True) + "\n"
+    if any(ch in value for value in values for ch in "\t\r\n"):
+        raise ValueError(f"{record!r}: a TSV field cannot hold a tab, CR or LF")
+    return "\t".join(values) + "\n"
 
 
-def save_dataset_jsonl(
+def save_dataset(
     dataset: EvalDataset,
     segments_path: str | Path,
     outputs_path: str | Path,
     judgments_path: str | Path,
+    fmt: str = "tsv",
 ) -> None:
-    """Write the canonical JSONL mirror; reloading it yields an equal dataset."""
-    _dump_jsonl(
-        segments_path,
-        (
-            {"lp": s.lp, "seg_id": s.seg_id, "src_text": s.src_text}
-            for s in sorted(dataset.segments)
-        ),
-    )
-    _dump_jsonl(
-        outputs_path,
-        (
-            {"lp": o.lp, "system_id": o.system_id, "seg_id": o.seg_id, "mt_text": o.mt_text}
-            for o in sorted(dataset.outputs)
-        ),
-    )
-    _dump_jsonl(
-        judgments_path,
-        (
-            {
-                "lp": j.lp,
-                "seg_id": j.seg_id,
-                "better_system": j.better_system,
-                "worse_system": j.worse_system,
-            }
-            for j in dataset.judgments
-        ),
-    )
+    """Write the three files in fmt, in the form load_dataset reads.
+
+    Segments and outputs are written sorted, judgments in dataset order, so
+    a loaded dataset reloads equal. A field holding a tab, CR or LF is a
+    ValueError naming its record, raised before any file is written, since
+    the TSV could not be read back.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format: {fmt!r}")
+    files = [
+        (path, [_line(record, fields, fmt) for record in records])
+        for path, fields, records in (
+            (segments_path, _SEGMENT_FIELDS, sorted(dataset.segments)),
+            (outputs_path, _OUTPUT_FIELDS, sorted(dataset.outputs)),
+            (judgments_path, _JUDGMENT_FIELDS, dataset.judgments),
+        )
+    ]
+    for path, lines in files:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
 
 
 def dataset_stats(dataset: EvalDataset) -> dict[str, dict[str, int]]:

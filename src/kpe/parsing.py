@@ -2,9 +2,11 @@
 
 All parsers are pure functions of their text argument and return the
 number itself: parse_categorical the class index (0 = worst; the label is
-schema.classes[i]), parse_stars an int and parse_scalar a float. They
-never clamp: an out-of-range number is a RangeError so degradation stays
-visible.
+schema.classes[i]), parse_stars an int and parse_scalar a float. Each
+reads only the text after the last answer anchor of its kind
+(prompting.ANSWER_ANCHORS: `Class:`, `Stars:`, `Score:`), or the whole
+answer if it has none. They never clamp: an out-of-range number is a
+RangeError so degradation stays visible.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from .errors import (
     RangeError,
     UnknownClassError,
 )
-from .prompting import ResponseSchema
+from .prompting import ANSWER_ANCHORS, ResponseSchema
 
 
-_CLASS_ANCHOR = "class:"
+def _after_anchor(text: str, kind: str) -> str:
+    """The lowercased text after the last anchor of kind; all of it if none."""
+    return text.lower().rpartition(ANSWER_ANCHORS[kind].lower())[2]
 
 
 def parse_categorical(text: str, schema: ResponseSchema) -> int:
@@ -38,10 +42,7 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")
-    lowered = text.lower()
-    anchor = lowered.rfind(_CLASS_ANCHOR)
-    if anchor != -1:
-        lowered = lowered[anchor + len(_CLASS_ANCHOR):]
+    lowered = _after_anchor(text, "categorical")
     best: tuple[int, int, int] | None = None  # (-len, pos, class index)
     for idx, label in enumerate(schema.classes):
         needle = label.lower()
@@ -65,8 +66,8 @@ _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
 def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
-    """Parse the first decimal number; outside [lo, hi] is a RangeError."""
-    m = _NUMBER_RE.search(text)
+    """Parse the first decimal number after the anchor; outside [lo, hi] is a RangeError."""
+    m = _NUMBER_RE.search(_after_anchor(text, "scalar"))
     if not m:
         raise NoNumberError(f"no number found in {text!r}")
     value = float(m.group(0))
@@ -79,7 +80,6 @@ _STAR_GLYPH_RE = re.compile(r"★+")
 _OUT_OF_RE = re.compile(r"(-?\d+)\s*\(?\s*(?:/|out\s+of)\s*(\d+)", re.IGNORECASE)
 _N_STARS_RE = re.compile(r"(-?\d+)\s*stars?\b", re.IGNORECASE)
 _INT_RE = re.compile(r"(-?\d+)")
-_STARS_ANCHOR_RE = re.compile(r"stars:", re.IGNORECASE)
 
 
 def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
@@ -90,7 +90,7 @@ def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
     anchor is read only after the last one. An "N/M" or "N out of M" whose
     M is not hi is a RangeError: it rates on another scale.
     """
-    tail = _STARS_ANCHOR_RE.split(text)[-1]
+    tail = _after_anchor(text, "stars")
     if m := _STAR_GLYPH_RE.search(tail):
         value = len(m.group(0))
     elif m := _OUT_OF_RE.search(tail):

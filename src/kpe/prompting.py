@@ -33,6 +33,10 @@ from .errors import (
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
+# The line each quality template ends with, per schema kind. A model answers
+# after it; the parsers read after its last occurrence and the mock writes it.
+ANSWER_ANCHORS = {"categorical": "Class:", "stars": "Stars:", "scalar": "Score:"}
+
 
 @dataclass(frozen=True)
 class ResponseSchema:

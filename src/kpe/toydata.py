@@ -28,8 +28,16 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backend import MockFixtures, overlap_bucket, trigram_overlap
-from .corpus import EvalDataset, RRJudgment, Segment, SystemOutput, dataset_stats
+from .backend import ESTIMATOR_ASPECT, MockFixtures, overlap_bucket, trigram_overlap
+from .corpus import (
+    EvalDataset,
+    RRJudgment,
+    Segment,
+    SystemOutput,
+    dataset_stats,
+    save_dataset,
+)
+from .prompting import ESTIMATORS
 
 LPS = ("de-en", "fi-en", "zh-en")
 SYSTEMS = ("sysA", "sysB", "sysC", "sysD")
@@ -49,18 +57,9 @@ _PAIRS = (
 # shared words needed to land an overlap in each of the five buckets
 _N_FOR_BUCKET = {0: 0, 1: 3, 2: 5, 3: 7, 4: 10}
 
-_ASPECTS = ("base", "fluency", "token", "sentence")
-
 _HANZI = (
     "的一是在不了有大人这中上为个国我以要他时来用们生到作地于出就分对成会可主发年动"
 )
-
-ESTIMATOR_ASPECT = {
-    "gemba": "base",
-    "prompt1_perplexity": "fluency",
-    "prompt2_token": "token",
-    "prompt3_sentence": "sentence",
-}
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def _segment_texts(
 
     mts = {sys: " ".join([seg_word] + groups[sys]) for sys in SYSTEMS}
     refs: dict[str, str] = {}
-    for aspect in _ASPECTS:
+    for aspect in ESTIMATOR_ASPECT.values():
         words = [seg_word]
         for sys in SYSTEMS:
             n = _N_FOR_BUCKET[_target_bucket(aspect, sys, seg, errors)]
@@ -123,7 +122,7 @@ def _segment_texts(
             words.append(filler[len(words) % len(filler)])
         refs[aspect] = " ".join(words)
 
-    for aspect in _ASPECTS:
+    for aspect in ESTIMATOR_ASPECT.values():
         for sys in SYSTEMS:
             o = trigram_overlap(mts[sys], refs[aspect])
             if overlap_bucket(o, 5) != _target_bucket(aspect, sys, seg, errors):
@@ -149,11 +148,7 @@ def generate_toy_corpus() -> ToyCorpus:
     outputs: list[SystemOutput] = []
     judgments: list[RRJudgment] = []
     refs: dict[tuple[str, str], str] = {}
-    aspect_refs: dict[str, dict[tuple[str, str], str]] = {
-        "fluency": {},
-        "token": {},
-        "sentence": {},
-    }
+    aspect_refs: dict[str, dict[tuple[str, str], str]] = {}
     expected: dict[tuple[str, str, str, str], int] = {}
 
     for lp_index, lp in enumerate(LPS):
@@ -176,28 +171,22 @@ def generate_toy_corpus() -> ToyCorpus:
                 outputs.append(
                     SystemOutput(lp=lp, system_id=sys, seg_id=seg_id, mt_text=mts[sys])
                 )
-            refs[(lp, seg_id)] = seg_refs["base"]
-            for aspect in ("fluency", "token", "sentence"):
-                aspect_refs[aspect][(lp, seg_id)] = seg_refs[aspect]
+            refs[(lp, seg_id)] = seg_refs.pop("base")
+            for aspect, ref in seg_refs.items():
+                aspect_refs.setdefault(aspect, {})[(lp, seg_id)] = ref
 
             for sys in SYSTEMS:
-                steps = {
+                buckets = {
                     name: _target_bucket(aspect, sys, seg, errors)
                     for name, aspect in ESTIMATOR_ASPECT.items()
                 }
-                for name, value in steps.items():
+                for name, spec in ESTIMATORS.items():
+                    if spec.steps:
+                        mean = sum(buckets[s] for s in spec.steps) / len(spec.steps)
+                        value = _round_half_up(mean)
+                    else:
+                        value = buckets[name]
                     expected[(name, lp, sys, seg_id)] = value
-                expected[("cot1", lp, sys, seg_id)] = _round_half_up(
-                    (steps["prompt1_perplexity"] + steps["prompt2_token"]) / 2
-                )
-                expected[("cot2", lp, sys, seg_id)] = _round_half_up(
-                    (
-                        steps["prompt1_perplexity"]
-                        + steps["prompt2_token"]
-                        + steps["prompt3_sentence"]
-                    )
-                    / 3
-                )
 
         for j in range(N_JUDGMENTS):
             seg_id = f"seg{j % N_SEGMENTS:02d}"
@@ -213,7 +202,7 @@ def generate_toy_corpus() -> ToyCorpus:
     fixtures = MockFixtures.from_dataset(dataset, refs, aspect_refs)
 
     predicted_tau: dict[str, dict[str, float]] = {}
-    for name in list(ESTIMATOR_ASPECT) + ["cot1", "cot2"]:
+    for name in ESTIMATORS:
         predicted_tau[name] = {}
         for lp in LPS:
             concordant = discordant = 0
@@ -252,15 +241,7 @@ def write_toy_corpus(out_dir: str | Path) -> ToyCorpus:
     toy = generate_toy_corpus()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "segments.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for s in sorted(toy.dataset.segments):
-            fh.write(f"{s.lp}\t{s.seg_id}\t{s.src_text}\n")
-    with open(out / "outputs.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for o in sorted(toy.dataset.outputs):
-            fh.write(f"{o.lp}\t{o.system_id}\t{o.seg_id}\t{o.mt_text}\n")
-    with open(out / "judgments.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for j in toy.dataset.judgments:
-            fh.write(f"{j.lp}\t{j.seg_id}\t{j.better_system}\t{j.worse_system}\n")
+    save_dataset(toy.dataset, out / "segments.tsv", out / "outputs.tsv", out / "judgments.tsv")
     with open(out / "fixtures.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(toy.fixtures.to_json_obj(), fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")

@@ -582,10 +582,12 @@ def test_run_batch_coalesces_duplicates(tmp_path):
 
 
 class InterruptedProvider(CountingProvider):
-    """Raises KeyboardInterrupt on call number `at`.
+    """Raises KeyboardInterrupt on the prompt `q<at>`.
 
-    Calls take 10 ms, and those after `at` take 200 ms, which leaves the
-    caller ample time to cancel what is still pending.
+    Prompts take 10 ms, and those after `q<at>` take 200 ms, which leaves
+    the caller ample time to cancel what is still pending. Keying on the
+    prompt rather than the call count keeps the outcome independent of
+    the order in which two workers number their calls.
     """
 
     def __init__(self, at):
@@ -595,16 +597,16 @@ class InterruptedProvider(CountingProvider):
     def complete(self, prompt, params):
         with self._lock:
             self.calls += 1
-            call = self.calls
-        time.sleep(0.01 if call < self.at else 0.2)
-        if call == self.at:
+        item = int(prompt.final_text[1:])
+        time.sleep(0.01 if item <= self.at else 0.2)
+        if item == self.at:
             raise KeyboardInterrupt
         return f"echo {prompt.final_text}"
 
 
 def test_run_batch_interrupt_cancels_pending_prompts_and_a_rerun_sends_the_rest(tmp_path):
     prompts = [_prompt(f"q{i}") for i in range(200)]
-    provider = InterruptedProvider(at=15)
+    provider = InterruptedProvider(at=14)  # the 15th prompt
     with pytest.raises(KeyboardInterrupt):
         run_batch(provider, FileCache(tmp_path / "cache"), prompts, PARAMS, max_in_flight=2)
     # pending prompts are cancelled; only the two workers' next calls may still start

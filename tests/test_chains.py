@@ -7,6 +7,8 @@ import pytest
 from kpe.backend import FileCache, GenParams, MockFixtures, MockProvider, request_digest
 from kpe.chains import (
     EstimatorKind,
+    QualityScore,
+    StepRecord,
     load_score_file,
     score_dataset,
     score_estimators,
@@ -359,8 +361,8 @@ def test_score_file_round_trip(tmp_path, identical_pair):
     reloaded = loaded.get("de-en", "sysA", "s1")
     assert reloaded.ordinal == original.ordinal
     assert [s.digest for s in reloaded.steps] == [s.digest for s in original.steps]
-    assert [s.parsed_ordinal for s in reloaded.steps] == [
-        s.parsed_ordinal for s in original.steps
+    assert [s.parsed for s in reloaded.steps] == [
+        s.parsed for s in original.steps
     ]
 
 
@@ -374,6 +376,48 @@ def test_score_file_rejects_mixed_estimators(tmp_path):
     path.write_text(row1 + "\n" + row2 + "\n", encoding="utf-8")
     with pytest.raises(InputError, match="mixed"):
         load_score_file(path)
+
+
+# Two records as the previous release wrote them: a scored pair, and a pair
+# whose second step failed to parse (its step keeps a null "parsed").
+EARLIER_SCORE_FILE = (
+    '{"error": null, "estimator": "cot1", "lp": "de-en", "mode": "cat5", "ordinal": 4, '
+    '"seg_id": "seg00", "steps": [{"digest": "aa", "parsed": 3, "template_id": '
+    '"kpe_perplexity", "version": 1}, {"digest": "bb", "parsed": 4, "template_id": '
+    '"kpe_token_sim", "version": 1}, {"digest": "cc", "parsed": 4, "template_id": '
+    '"kpe_cot1_combine", "version": 1}], "system_id": "sysA"}\n'
+    '{"error": "step2:kpe_token_sim: NoMatchError: no class label", "estimator": "cot1", '
+    '"lp": "de-en", "mode": "cat5", "ordinal": null, "seg_id": "seg01", "steps": '
+    '[{"digest": "dd", "parsed": 2, "template_id": "kpe_perplexity", "version": 1}, '
+    '{"digest": "ee", "parsed": null, "template_id": "kpe_token_sim", "version": 1}], '
+    '"system_id": "sysB"}\n'
+)
+
+
+def test_score_file_written_earlier_loads_as_before(tmp_path):
+    path = tmp_path / "scores_cot1.jsonl"
+    path.write_text(EARLIER_SCORE_FILE, encoding="utf-8")
+    table = load_score_file(path)
+    assert table.estimator == EstimatorKind("cot1", "cat5")
+    assert table.scores == {
+        ("de-en", "sysA", "seg00"): QualityScore(
+            "de-en", "sysA", "seg00", "cot1", "cat5", 4, None, (
+                StepRecord("kpe_perplexity", 1, "aa", parsed=3),
+                StepRecord("kpe_token_sim", 1, "bb", parsed=4),
+                StepRecord("kpe_cot1_combine", 1, "cc", parsed=4),
+            ),
+        ),
+        ("de-en", "sysB", "seg01"): QualityScore(
+            "de-en", "sysB", "seg01", "cot1", "cat5", None,
+            "step2:kpe_token_sim: NoMatchError: no class label", (
+                StepRecord("kpe_perplexity", 1, "dd", parsed=2),
+                StepRecord("kpe_token_sim", 1, "ee", parsed=None),
+            ),
+        ),
+    }
+    # and it is written back byte for byte
+    table.write_jsonl(tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_text(encoding="utf-8") == EARLIER_SCORE_FILE
 
 
 def test_score_file_rejects_empty(tmp_path):

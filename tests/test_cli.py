@@ -15,7 +15,7 @@ import kpe.alignment
 import kpe.cli
 from kpe.backend import MockProvider
 from kpe.cli import RunConfig, build_run_config, main, parse_max_age
-from kpe.corpus import load_dataset, save_dataset_jsonl
+from kpe.corpus import load_dataset, save_dataset
 from kpe.errors import ConfigError, TransportError
 from kpe.toydata import write_toy_corpus
 
@@ -196,6 +196,14 @@ def test_cli_import_loads_only_what_score_runs():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_benchmark_only_names_are_module_attributes_not_exports():
+    import kpe.backend
+    import kpe.chains
+
+    assert {"cached_complete", "score_dataset"}.isdisjoint(kpe.__all__)
+    assert callable(kpe.backend.cached_complete) and callable(kpe.chains.score_dataset)
 
 
 def test_version_flag():
@@ -381,7 +389,7 @@ def test_score_format_flag_reads_jsonl(tmp_path):
     dataset = load_dataset(cfg["segments"], cfg["outputs"], cfg["judgments"])
     for key in ("segments", "outputs", "judgments"):
         cfg[key] = str(tmp_path / f"{key}.jsonl")
-    save_dataset_jsonl(dataset, cfg["segments"], cfg["outputs"], cfg["judgments"])
+    save_dataset(dataset, cfg["segments"], cfg["outputs"], cfg["judgments"], fmt="jsonl")
     cfg["format"] = "tsv"  # the flag wins over the file
     path = write_config(tmp_path, cfg)
     result = CliRunner().invoke(

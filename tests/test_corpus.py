@@ -12,7 +12,7 @@ from kpe.corpus import (
     load_rr_judgments,
     load_segments,
     load_system_outputs,
-    save_dataset_jsonl,
+    save_dataset,
 )
 from kpe.errors import (
     DuplicateKeyError,
@@ -164,11 +164,44 @@ def test_jsonl_round_trip(corpus_files, tmp_path):
         tmp_path / "out.jsonl",
         tmp_path / "judg.jsonl",
     )
-    save_dataset_jsonl(dataset, *paths)
+    save_dataset(dataset, *paths, fmt="jsonl")
     reloaded = load_dataset(*paths, fmt="jsonl")
     assert reloaded.segments == dataset.segments
     assert reloaded.outputs == dataset.outputs
     assert reloaded.judgments == dataset.judgments
+
+
+def test_tsv_round_trip(corpus_files, tmp_path):
+    dataset = load_dataset(*corpus_files)
+    paths = (tmp_path / "seg.tsv", tmp_path / "out.tsv", tmp_path / "judg.tsv")
+    save_dataset(dataset, *paths)
+    reloaded = load_dataset(*paths)
+    assert reloaded.segments == dataset.segments
+    assert reloaded.outputs == dataset.outputs
+    assert reloaded.judgments == dataset.judgments
+    # segments and outputs come out sorted, judgments in their own order
+    assert paths[0].read_text(encoding="utf-8") == SEGMENTS_TSV
+    assert paths[2].read_text(encoding="utf-8") == JUDGMENTS_TSV
+
+
+@pytest.mark.parametrize("text", ["tab\there", "line\nbreak", "carriage\rreturn"])
+def test_save_tsv_rejects_tabs_and_line_breaks(tmp_path, text):
+    segment = Segment(lp="de-en", seg_id="seg1", src_text="a")
+    output = SystemOutput(lp="de-en", system_id="sysA", seg_id="seg1", mt_text=text)
+    dataset = EvalDataset.build([segment], [output], [])
+    paths = (tmp_path / "seg.tsv", tmp_path / "out.tsv", tmp_path / "judg.tsv")
+    with pytest.raises(ValueError) as err:
+        save_dataset(dataset, *paths)
+    assert repr(output) in str(err.value)
+    assert not any(path.exists() for path in paths)  # nothing half-written
+    # JSONL holds such text, and it reads back unchanged
+    save_dataset(dataset, *paths, fmt="jsonl")
+    assert load_dataset(*paths, fmt="jsonl").outputs == dataset.outputs
+
+
+def test_save_rejects_unknown_format(tmp_path, corpus_files):
+    with pytest.raises(ValueError, match="unknown format"):
+        save_dataset(load_dataset(*corpus_files), *(tmp_path / n for n in "abc"), fmt="csv")
 
 
 def test_jsonl_missing_field(tmp_path):

@@ -93,6 +93,16 @@ def test_parse_scalar():
     assert parse_scalar("about 12, maybe") == 12.0
 
 
+def test_parse_scalar_reads_after_the_last_score_anchor():
+    # an answer that restates the scale before its verdict
+    assert parse_scalar("Scores range from 0 to 100. Score: 85", 0, 100) == 85.0
+    assert parse_scalar("score: 10. SCORE: 72.5", 0, 100) == 72.5
+    with pytest.raises(NoNumberError):
+        parse_scalar("From 0 to 100. Score: unsure", 0, 100)
+    # without an anchor the first number is still read
+    assert parse_scalar("On a scale from 0 to 100, 85.", 0, 100) == 0.0
+
+
 def test_parse_scalar_never_clamps():
     with pytest.raises(RangeError):
         parse_scalar("105", 0, 100)

@@ -9,6 +9,7 @@ from kpe.errors import (
     UnknownBindingError,
 )
 from kpe.prompting import (
+    ANSWER_ANCHORS,
     ESTIMATORS,
     PromptTemplate,
     ResponseSchema,
@@ -127,6 +128,15 @@ def _tiny_template(body="hello {name}", placeholders=("name",)):
         placeholders=placeholders,
         schema=ResponseSchema(kind="scalar", lo=0, hi=1),
     )
+
+
+def test_every_quality_template_ends_with_its_answer_anchor():
+    registry = builtin_templates()
+    template_ids = {tid for spec in ESTIMATORS.values() for tid in spec.templates.values()}
+    assert len(template_ids) == len(registry) - 1  # all but the alignment template
+    for template_id in template_ids:
+        template = registry.get(template_id)
+        assert template.body.splitlines()[-1] == ANSWER_ANCHORS[template.schema.kind]
 
 
 def test_render_missing_binding():
