@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -133,6 +134,43 @@ def test_run_config_fields_are_the_setting_flags():
         "config_path", "lp", "system_id", "seg_ids"
     }
     assert align_dests <= names
+
+
+# Every flag of the two run commands, with its click type name or its choices.
+RUN_FLAGS = {
+    "--config": "text",
+    "--segments": "text",
+    "--outputs": "text",
+    "--judgments": "text",
+    "--format": ("tsv", "jsonl"),
+    "--provider": ("http", "mock"),
+    "--mock-fixtures": "text",
+    "--endpoint-url": "text",
+    "--model-id": "text",
+    "--out": "text",
+    "--cache-dir": "text",
+    "--max-in-flight": "integer",
+    "--temperature": "float",
+    "--max-tokens": "integer",
+}
+SCORE_FLAGS = {
+    **RUN_FLAGS,
+    "--estimators": "text",
+    "--mode": ("cat5", "cat3", "stars", "scalar"),
+    "--step-failure": ("abort_pair", "substitute_middle"),
+    "--error-rate-threshold": "float",
+}
+ALIGN_FLAGS = {**RUN_FLAGS, "--lp": "text", "--system": "text", "--seg": "text"}
+
+
+@pytest.mark.parametrize("command, expected", [("score", SCORE_FLAGS), ("align", ALIGN_FLAGS)])
+def test_run_command_flags_and_their_types(command, expected):
+    got = {
+        opt: tuple(p.type.choices) if isinstance(p.type, click.Choice) else p.type.name
+        for p in main.commands[command].params
+        for opt in p.opts
+    }
+    assert got == expected
 
 
 @pytest.mark.parametrize(
@@ -262,6 +300,7 @@ def test_score_clean_run_exits_0(tmp_path):
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["estimators"]["gemba"]["errored"] == 0
     assert summary["provider_calls"] == 4
+
 
 
 def test_score_error_rate_gate(tmp_path):
