@@ -4,8 +4,10 @@ Run settings come from an optional JSON file (--config) and from flags,
 and a flag beats the file. Each setting is one RunConfig field: its name
 is the config key and the flag's destination, and it declares the
 setting's default, JSON type and allowed values, against which
-build_run_config checks every value. The provider API key is read from
-the KPE_API_KEY environment variable only, never from config or flags.
+build_run_config checks every value. The flags of `score` and `align`
+are generated from these fields, so a setting is declared in one place.
+The provider API key is read from the KPE_API_KEY environment variable
+only, never from config or flags.
 
 `kpe templates --json` prints a JSON list with one object per builtin
 template: template_id, version, placeholders (sorted), and schema, an
@@ -40,7 +42,6 @@ from .chains import (
     SCORING_MODES,
     STEP_FAILURES,
     EstimatorKind,
-    ScoreTable,
     load_score_file,
     score_dataset,  # noqa: F401  unused by kpe; the benchmark's --trace 1 wraps it here
     score_estimators,
@@ -72,10 +73,12 @@ _PROVIDER_UNREACHABLE = ("TransportError", "AuthError", "RateLimitError")
 class RunConfig:
     """Settings of a scoring or alignment run, one field per setting.
 
-    A field's name is its config-file key and the destination of its flag.
-    Its annotation is the JSON type a config value must have (a float
-    field also takes an integer), and a ``choices`` entry in its metadata
-    is the tuple of allowed values that the flag's click.Choice shares.
+    A field's name is its config-file key and the destination of its flag,
+    which is --field-name unless a ``flag`` metadata entry names it. Its
+    annotation is the JSON type a config value must have (a float field
+    also takes an integer) and the flag's click type; a ``choices`` entry
+    in its metadata is the tuple of allowed values that the flag's
+    click.Choice shares. Fields marked ``score_only`` get no `align` flag.
     """
 
     segments: str = ""
@@ -89,13 +92,19 @@ class RunConfig:
     out: str = "kpe_out"
     cache_dir: str | None = None
     max_in_flight: int = 4
-    scoring_mode: str = field(default="cat5", metadata={"choices": SCORING_MODES})
-    # a list or a comma-separated string in a config file
-    estimators: tuple[str, ...] = (
-        "prompt1_perplexity", "prompt2_token", "prompt3_sentence", "cot1", "cot2"
+    scoring_mode: str = field(
+        default="cat5",
+        metadata={"choices": SCORING_MODES, "flag": "--mode", "score_only": True},
     )
-    step_failure: str = field(default="abort_pair", metadata={"choices": STEP_FAILURES})
-    error_rate_threshold: float = 0.01
+    # a list or a comma-separated string in a config file
+    estimators: tuple[str, ...] = field(
+        default=("prompt1_perplexity", "prompt2_token", "prompt3_sentence", "cot1", "cot2"),
+        metadata={"help": "Comma-separated estimator names.", "score_only": True},
+    )
+    step_failure: str = field(
+        default="abort_pair", metadata={"choices": STEP_FAILURES, "score_only": True}
+    )
+    error_rate_threshold: float = field(default=0.01, metadata={"score_only": True})
     temperature: float = 0.0
     max_tokens: int = 256
 
@@ -103,6 +112,13 @@ class RunConfig:
         """Check the rules that tie settings together or reach the file system."""
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
+        if self.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
+        # written so that NaN fails too
+        if not 0 <= self.error_rate_threshold <= 1:
+            raise ConfigError("error_rate_threshold must be between 0 and 1")
+        if not self.temperature >= 0:
+            raise ConfigError("temperature must be >= 0")
         if self.provider == "http" and not self.endpoint_url:
             raise ConfigError("http provider needs endpoint_url")
         if self.provider == "http":
@@ -132,11 +148,6 @@ class RunConfig:
             if not Path(path).exists():
                 raise ConfigError(f"{name} file does not exist: {path}")
 
-    def effective_cache_dir(self) -> str:
-        if self.cache_dir:
-            return self.cache_dir
-        return str(Path(self.out) / "cache")
-
     def gen_params(self) -> GenParams:
         return GenParams(
             model_id=self.model_id or "mock-1",
@@ -146,7 +157,8 @@ class RunConfig:
 
 
 _SETTINGS = {f.name: f for f in fields(RunConfig)}
-_SETTING_TYPES = get_type_hints(RunConfig)
+# each setting's annotation as a tuple of types, e.g. (str, NoneType) for str | None
+_SETTING_TYPES = {n: get_args(h) or (h,) for n, h in get_type_hints(RunConfig).items()}
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
 
 
@@ -171,7 +183,7 @@ def _check_setting(key: str, value):
     """Return value as the type of RunConfig field key, or raise ConfigError naming it."""
     if key == "estimators":
         return _parse_estimators(value)
-    types = get_args(_SETTING_TYPES[key]) or (_SETTING_TYPES[key],)
+    types = _SETTING_TYPES[key]
     accepted = types + (int,) if float in types else types
     if isinstance(value, bool) or not isinstance(value, accepted):
         expected = " or ".join(_TYPE_NAMES[t] for t in types)
@@ -229,6 +241,57 @@ def _fail(message: str, code: int = 1) -> NoReturn:
     sys.exit(code)
 
 
+def _run_options(*, scoring: bool):
+    """Add --config and one flag per RunConfig field; score_only fields only when scoring."""
+
+    def add(fn):
+        # click lists a command's options in the reverse order of their decorators
+        for setting in reversed(fields(RunConfig)):
+            meta = setting.metadata
+            if meta.get("score_only") and not scoring:
+                continue
+            kind = next((t for t in _SETTING_TYPES[setting.name] if t in (int, float)), str)
+            fn = click.option(
+                meta.get("flag", "--" + setting.name.replace("_", "-")),
+                setting.name,
+                type=click.Choice(meta["choices"]) if "choices" in meta else kind,
+                default=None,
+                help=meta.get("help"),
+            )(fn)
+        return click.option("--config", "config_path", type=str, default=None,
+                            help="JSON config file; flags override its keys.")(fn)
+
+    return add
+
+
+def _start_run(config_path: str | None, flags: dict, *, scoring: bool):
+    """Check all settings, estimator modes included, then build the dataset, provider and cache."""
+    try:
+        cfg = build_run_config(config_path, flags)
+        cfg.validate()
+        estimators = cfg.estimators if scoring else ()
+        kinds = [EstimatorKind(name, cfg.scoring_mode) for name in estimators]
+        dataset = _load_dataset_from(cfg)
+        provider = _build_provider(cfg, dataset)
+    except (KpeError, OSError, ValueError) as exc:
+        _fail(str(exc))
+    return cfg, kinds, dataset, provider, FileCache(cfg.cache_dir or Path(cfg.out) / "cache")
+
+
+def _out_dir(path: str) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot create output directory {path}: {exc.strerror or exc}")
+    return Path(path)
+
+
+def _write_json(path: Path | str, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="kpe")
 def main() -> None:
@@ -242,27 +305,22 @@ def main() -> None:
 def templates(as_json: bool) -> None:
     """List the builtin prompt templates."""
     registry = builtin_templates()
-    rows = []
-    for template_id in registry.ids():
-        t = registry.get(template_id)
-        rows.append(t)
+    rows = [registry.get(template_id) for template_id in registry.ids()]
     if as_json:
-        objs = []
-        for t in rows:
-            schema = {
-                "kind": t.schema.kind,
-                "classes": list(t.schema.classes) if t.schema.classes else None,
-                "lo": t.schema.lo,
-                "hi": t.schema.hi,
+        objs = [
+            {
+                "template_id": t.template_id,
+                "version": t.version,
+                "schema": {
+                    "kind": t.schema.kind,
+                    "classes": list(t.schema.classes) if t.schema.classes else None,
+                    "lo": t.schema.lo,
+                    "hi": t.schema.hi,
+                },
+                "placeholders": sorted(t.placeholders),
             }
-            objs.append(
-                {
-                    "template_id": t.template_id,
-                    "version": t.version,
-                    "schema": schema,
-                    "placeholders": sorted(t.placeholders),
-                }
-            )
+            for t in rows
+        ]
         click.echo(json.dumps(objs, ensure_ascii=False, indent=2, sort_keys=True))
         return
     for t in rows:
@@ -276,49 +334,15 @@ def templates(as_json: bool) -> None:
 
 # score -----------------------------------------------------------------------
 
-def _score_options(fn):
-    fn = click.option("--config", "config_path", type=str, default=None,
-                      help="JSON config file; flags override its keys.")(fn)
-    fn = click.option("--segments", type=str, default=None)(fn)
-    fn = click.option("--outputs", type=str, default=None)(fn)
-    fn = click.option("--judgments", type=str, default=None)(fn)
-    fn = click.option("--format", type=click.Choice(FORMATS), default=None)(fn)
-    fn = click.option("--provider", type=click.Choice(PROVIDERS), default=None)(fn)
-    fn = click.option("--mock-fixtures", type=str, default=None)(fn)
-    fn = click.option("--endpoint-url", type=str, default=None)(fn)
-    fn = click.option("--model-id", type=str, default=None)(fn)
-    fn = click.option("--out", type=str, default=None)(fn)
-    fn = click.option("--cache-dir", type=str, default=None)(fn)
-    fn = click.option("--max-in-flight", type=int, default=None)(fn)
-    fn = click.option("--temperature", type=float, default=None)(fn)
-    fn = click.option("--max-tokens", type=int, default=None)(fn)
-    return fn
-
-
 @main.command()
-@_score_options
-@click.option("--estimators", type=str, default=None,
-              help="Comma-separated estimator names.")
-@click.option("--mode", "scoring_mode", type=click.Choice(SCORING_MODES), default=None)
-@click.option("--step-failure", type=click.Choice(STEP_FAILURES), default=None)
-@click.option("--error-rate-threshold", type=float, default=None)
+@_run_options(scoring=True)
 def score(config_path, **flags) -> None:
     """Score every system output with the configured estimators."""
-    try:
-        cfg = build_run_config(config_path, flags)
-        cfg.validate()
-        dataset = _load_dataset_from(cfg)
-        provider = _build_provider(cfg, dataset)
-    except (KpeError, OSError, ValueError) as exc:
-        _fail(str(exc))
-
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = FileCache(cfg.effective_cache_dir())
+    cfg, kinds, dataset, provider, cache = _start_run(config_path, flags, scoring=True)
+    out_dir = _out_dir(cfg.out)
     params = cfg.gen_params()
 
     try:
-        kinds = [EstimatorKind(name, cfg.scoring_mode) for name in cfg.estimators]
         click.echo(f"scoring {', '.join(cfg.estimators)} ({cfg.scoring_mode})...", err=True)
         tables = score_estimators(
             kinds,
@@ -364,9 +388,7 @@ def score(config_path, **flags) -> None:
         },
         "template_versions": _template_versions(tables.values()),
     }
-    with open(out_dir / "run_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "run_summary.json", summary)
 
     if total and not any(t.n_parsed for t in tables.values()):
         notes = [s.error or "" for t in tables.values() for s in t.scores.values()]
@@ -393,136 +415,18 @@ def _template_versions(tables) -> dict[str, int]:
 
 # report ----------------------------------------------------------------------
 
-def _fmt_tau(tau: float | None) -> str:
-    return "—" if tau is None else f"{tau * 100:.1f}%"
+def _percent(share: float | None) -> str:
+    return "—" if share is None else f"{share * 100:.1f}%"
 
 
-@dataclass
-class _ReportData:
-    tables: list[ScoreTable]
-    lps: list[str]
-    kendall: dict[str, dict]
-    averages: dict[str, float | None]
-    warnings: list[str] = field(default_factory=list)
+def _md_table(header: list[str], rows: list[list]) -> list[str]:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return lines
 
 
-def _collect_report(tables: list[ScoreTable], judgments, drop_policy: str) -> _ReportData:
-    lps = sorted({j.lp for j in judgments})
-    kendall: dict[str, dict] = {}
-    averages: dict[str, float | None] = {}
-    warnings: list[str] = []
-    for table in tables:
-        name = table.estimator.name
-        summaries = kendall_tau_rr(table, judgments, drop_policy=drop_policy)
-        kendall[name] = summaries
-        taus = []
-        for lp in lps:
-            summary = summaries.get(lp)
-            tau = summary.tau if summary is not None else None
-            if tau is None:
-                warnings.append(f"{name}: no usable judgments for {lp}")
-            else:
-                taus.append(tau)
-        averages[name] = sum(taus) / len(taus) if taus else None
-    return _ReportData(
-        tables=tables, lps=lps, kendall=kendall, averages=averages, warnings=warnings
-    )
-
-
-def _report_markdown(data: _ReportData, meta: dict, human_rows: list[tuple]) -> str:
-    lines: list[str] = []
-    lines.append("# Translation quality estimation report")
-    lines.append("")
-    lines.append(f"- model: {meta['model_id']}")
-    versions = ", ".join(f"{tid} v{v}" for tid, v in meta["template_versions"].items())
-    lines.append(f"- templates: {versions if versions else '(none recorded)'}")
-    lines.append(f"- generated: {meta['timestamp']}")
-    lines.append("")
-    lines.append("## Segment-level Kendall tau")
-    lines.append("")
-    header = ["estimator"] + data.lps + ["avg"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for table in data.tables:
-        name = table.estimator.name
-        cells = [name]
-        for lp in data.lps:
-            summary = data.kendall[name].get(lp)
-            cells.append(_fmt_tau(summary.tau if summary else None))
-        cells.append(_fmt_tau(data.averages[name]))
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("## Judgment usage")
-    lines.append("")
-    lines.append("| estimator | lp | concordant | discordant | excluded |")
-    lines.append("|---|---|---|---|---|")
-    for table in data.tables:
-        name = table.estimator.name
-        for lp in data.lps:
-            summary = data.kendall[name].get(lp)
-            if summary is None:
-                continue
-            lines.append(
-                f"| {name} | {lp} | {summary.concordant} "
-                f"| {summary.discordant} | {summary.excluded} |"
-            )
-    lines.append("")
-    lines.append("## Score distribution")
-    lines.append("")
-    lines.append("| estimator | counts | neutral share |")
-    lines.append("|---|---|---|")
-    for table in data.tables:
-        name = table.estimator.name
-        try:
-            dist = score_distribution(table)
-        except ValueError:
-            lines.append(f"| {name} | (scalar mode, no classes) | — |")
-            continue
-        counts = ", ".join(str(c) for c in dist.counts)
-        neutral = dist.neutral_fraction
-        neutral_text = "—" if neutral is None else f"{neutral * 100:.1f}%"
-        lines.append(f"| {name} | {counts} | {neutral_text} |")
-    if human_rows:
-        lines.append("")
-        lines.append("## System-level pairwise accuracy")
-        lines.append("")
-        lines.append("| estimator | lp | accuracy |")
-        lines.append("|---|---|---|")
-        for name, lp, acc in human_rows:
-            text = "—" if acc is None else f"{acc * 100:.1f}%"
-            lines.append(f"| {name} | {lp} | {text} |")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _report_csv(data: _ReportData, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["estimator", "lp", "tau", "concordant", "discordant", "excluded"])
-        for table in data.tables:
-            name = table.estimator.name
-            for lp in data.lps:
-                summary = data.kendall[name].get(lp)
-                if summary is None:
-                    writer.writerow([name, lp, "", "", "", ""])
-                    continue
-                tau = summary.tau
-                writer.writerow(
-                    [
-                        name,
-                        lp,
-                        "" if tau is None else repr(tau),
-                        summary.concordant,
-                        summary.discordant,
-                        summary.excluded,
-                    ]
-                )
-            avg = data.averages[name]
-            writer.writerow([name, "avg", "" if avg is None else repr(avg), "", "", ""])
-
-
-def _human_accuracy_rows(tables, human_scores, warnings) -> list[tuple]:
-    rows: list[tuple] = []
+def _human_accuracy_rows(tables, human_scores, warnings) -> list[list]:
+    rows: list[list] = []
     for table in tables:
         name = table.estimator.name
         try:
@@ -530,16 +434,13 @@ def _human_accuracy_rows(tables, human_scores, warnings) -> list[tuple]:
         except KpeError as exc:
             warnings.append(f"{name}: {exc}")
             continue
-        for lp in sorted(human_scores):
-            if lp not in by_lp:
-                continue
+        for lp in sorted(human_scores.keys() & by_lp.keys()):
             try:
                 acc = pairwise_accuracy(by_lp[lp], human_scores[lp])
             except InsufficientSystemsError as exc:
                 warnings.append(f"{name}/{lp}: {exc}")
-                rows.append((name, lp, None))
-                continue
-            rows.append((name, lp, acc))
+                acc = None
+            rows.append([name, lp, _percent(acc)])
     return rows
 
 
@@ -560,8 +461,7 @@ def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:
         if not score_paths:
             raise ConfigError(f"no scores_*.jsonl files in {scores_dir}")
         tables = [load_score_file(p) for p in score_paths]
-        order = {name: i for i, name in enumerate(ESTIMATOR_NAMES)}
-        tables.sort(key=lambda t: order.get(t.estimator.name, len(order)))
+        tables.sort(key=lambda t: ESTIMATOR_NAMES.index(t.estimator.name))
         judgment_rows = load_rr_judgments(judgments, fmt)
         human = None
         if human_scores is not None:
@@ -578,41 +478,82 @@ def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:
     except (KpeError, OSError, ValueError) as exc:
         _fail(str(exc))
 
-    data = _collect_report(tables, judgment_rows, drop_policy)
-    human_rows = (
-        _human_accuracy_rows(tables, human, data.warnings) if human is not None else []
-    )
+    # one pass over the estimators fills every table of the report
+    lps = sorted({j.lp for j in judgment_rows})
+    warnings: list[str] = []
+    tau_rows, usage_rows, distribution_rows = [], [], []
+    csv_rows = [["estimator", "lp", "tau", "concordant", "discordant", "excluded"]]
+    for table in tables:
+        name = table.estimator.name
+        summaries = kendall_tau_rr(table, judgment_rows, drop_policy=drop_policy)
+        cells, taus = [name], []
+        for lp in lps:
+            summary = summaries.get(lp)
+            if summary is None:
+                tau, counts = None, ["", "", ""]
+            else:
+                tau = summary.tau
+                counts = [summary.concordant, summary.discordant, summary.excluded]
+                usage_rows.append([name, lp, *counts])
+            cells.append(_percent(tau))
+            if tau is None:
+                warnings.append(f"{name}: no usable judgments for {lp}")
+            else:
+                taus.append(tau)
+            csv_rows.append([name, lp, "" if tau is None else repr(tau), *counts])
+        avg = sum(taus) / len(taus) if taus else None
+        tau_rows.append([*cells, _percent(avg)])
+        csv_rows.append([name, "avg", "" if avg is None else repr(avg), "", "", ""])
+        try:
+            dist = score_distribution(table)
+        except ValueError:
+            distribution_rows.append([name, "(scalar mode, no classes)", "—"])
+            continue
+        counts_text = ", ".join(str(c) for c in dist.counts)
+        distribution_rows.append([name, counts_text, _percent(dist.neutral_fraction)])
+    human_rows = _human_accuracy_rows(tables, human, warnings) if human is not None else []
 
-    meta = {
-        "model_id": _run_model_id(scores_dir),
-        "template_versions": _template_versions(tables),
-        "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-    }
-    out_dir = Path(out) if out else Path(scores_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    markdown = _report_markdown(data, meta, human_rows)
+    versions = ", ".join(f"{tid} v{v}" for tid, v in _template_versions(tables).items())
+    timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    sections = [
+        ("Segment-level Kendall tau", ["estimator", *lps, "avg"], tau_rows),
+        ("Judgment usage", ["estimator", "lp", "concordant", "discordant", "excluded"], usage_rows),
+        ("Score distribution", ["estimator", "counts", "neutral share"], distribution_rows),
+    ]
+    if human_rows:
+        accuracy = ("System-level pairwise accuracy", ["estimator", "lp", "accuracy"], human_rows)
+        sections.append(accuracy)
+    lines = [
+        "# Translation quality estimation report",
+        "",
+        f"- model: {_run_model_id(scores_dir)}",
+        f"- templates: {versions if versions else '(none recorded)'}",
+        f"- generated: {timestamp}",
+    ]
+    for title, header, rows in sections:
+        lines += ["", f"## {title}", "", *_md_table(header, rows)]
+    out_dir = _out_dir(out or scores_dir)
     with open(out_dir / "report.md", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(markdown)
-    _report_csv(data, out_dir / "report.csv")
-    for warning in data.warnings:
+        fh.write("\n".join(lines) + "\n")
+    with open(out_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(csv_rows)
+    for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
     click.echo(f"wrote {out_dir / 'report.md'} and {out_dir / 'report.csv'}", err=True)
 
 
 def _run_model_id(scores_dir: str) -> str:
     summary_path = Path(scores_dir) / "run_summary.json"
-    if summary_path.exists():
-        try:
-            return json.loads(summary_path.read_text(encoding="utf-8"))["model_id"]
-        except (OSError, ValueError, KeyError):
-            pass
-    return "(unknown)"
+    try:
+        return json.loads(summary_path.read_text(encoding="utf-8"))["model_id"]
+    except (OSError, ValueError, KeyError, TypeError):  # TypeError: not a JSON object
+        return "(unknown)"
 
 
 # align -----------------------------------------------------------------------
 
 @main.command()
-@_score_options
+@_run_options(scoring=False)
 @click.option("--lp", type=str, required=True)
 @click.option("--system", "system_id", type=str, required=True)
 @click.option("--seg", "seg_ids", type=str, multiple=True, required=True)
@@ -620,19 +561,12 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
     """Render token-alignment heatmaps for chosen (system, segment) pairs."""
     from .alignment import align_pairs, render_heatmap, tokenize
 
-    try:
-        cfg = build_run_config(config_path, flags)
-        cfg.validate()
-        dataset = _load_dataset_from(cfg)
-        provider = _build_provider(cfg, dataset)
-        for seg_id in seg_ids:
-            if not dataset.has_output(lp, system_id, seg_id):
-                raise ConfigError(f"no output for {lp}/{system_id}/{seg_id}")
-    except (KpeError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    cfg, _, dataset, provider, cache = _start_run(config_path, flags, scoring=False)
+    for seg_id in seg_ids:
+        if not dataset.has_output(lp, system_id, seg_id):
+            _fail(f"no output for {lp}/{system_id}/{seg_id}")
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg.out)
     tokens = []  # per --seg: (source, translation) tokens, or the error tokenizing them
     for seg_id in seg_ids:
         segment = dataset.get_segment(lp, seg_id)
@@ -645,7 +579,7 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
         aligned = iter(align_pairs(
             [pair for pair in tokens if not isinstance(pair, KpeError)],
             provider,
-            FileCache(cfg.effective_cache_dir()),
+            cache,
             params=cfg.gen_params(),
             max_in_flight=cfg.max_in_flight,
         ))
@@ -661,7 +595,7 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
         base = out_dir / f"{lp}_{system_id}_{seg_id}"
         with open(f"{base}.svg", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_heatmap(matrix))
-        sidecar = {
+        _write_json(f"{base}.json", {
             "lp": lp,
             "system_id": system_id,
             "seg_id": seg_id,
@@ -669,10 +603,7 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
             "mt_tokens": list(matrix.mt_tokens),
             "cells": [list(row) for row in matrix.cells],
             "clamped": matrix.clamped,
-        }
-        with open(f"{base}.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(sidecar, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         click.echo(f"wrote {base}.svg", err=True)
     if len(failures) == len(seg_ids) and any(kind in _PROVIDER_UNREACHABLE for kind in failures):
         _fail("provider unreachable: no heatmap written")

@@ -187,6 +187,13 @@ def test_run_command_flags_and_their_types(command, expected):
         ("temperature", "hot"),
         ("scoring_mode", "cat7"),
         ("drop_policy", "drop"),
+        ("max_tokens", 0),
+        ("max_tokens", -5),
+        ("error_rate_threshold", -1),
+        ("error_rate_threshold", 1.5),
+        ("temperature", -3),
+        ("temperature", float("nan")),
+        ("error_rate_threshold", float("nan")),
     ],
 )
 def test_score_rejects_bad_config_value(tmp_path, monkeypatch, key, value):
@@ -301,6 +308,47 @@ def test_score_clean_run_exits_0(tmp_path):
     assert summary["estimators"]["gemba"]["errored"] == 0
     assert summary["provider_calls"] == 4
 
+
+@pytest.mark.parametrize("command", ["score", "align", "report"])
+def test_out_naming_an_existing_file_is_one_error_line(tmp_path, command):
+    cfg = write_tiny_corpus(tmp_path)
+    path = write_config(tmp_path, cfg)
+    runner = CliRunner()
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n", encoding="utf-8")
+    if command == "score":
+        args = ["score", "--config", path, "--estimators", "gemba"]
+    elif command == "align":
+        args = ["align", "--config", path, "--lp", "de-en", "--system", "sysA", "--seg", "s1"]
+    else:
+        score = ["score", "--config", path, "--estimators", "gemba"]
+        assert runner.invoke(main, score).exit_code == 0
+        args = ["report", "--scores", cfg["out"], "--judgments", cfg["judgments"]]
+    result = runner.invoke(main, args + ["--out", str(afile)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "afile" in result.stderr
+    assert afile.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_score_mode_an_estimator_cannot_answer_in_fails_before_any_output(tmp_path):
+    cfg = write_tiny_corpus(tmp_path)
+    cfg["scoring_mode"] = "stars"
+    path = write_config(tmp_path, cfg)
+    # the default estimators include cot1, whose combiner answers in cat5 or cat3 only
+    result = CliRunner().invoke(main, ["score", "--config", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "error: cot1 scores in cat5, cat3, not 'stars'\n"
+    assert not (tmp_path / "out").exists()
+    # align scores nothing, so the same config aligns
+    aligned = CliRunner().invoke(
+        main, ["align", "--config", path, "--lp", "de-en", "--system", "sysA", "--seg", "s1"]
+    )
+    assert aligned.exit_code == 0, aligned.stderr
+    assert (tmp_path / "out" / "de-en_sysA_s1.svg").exists()
 
 
 def test_score_error_rate_gate(tmp_path):
@@ -546,6 +594,18 @@ def test_report_malformed_score_file_is_a_format_error(tmp_path, edit):
     assert result.stderr.startswith(f"error: {path}:2: ")
     assert len(result.stderr.splitlines()) == 1
     assert not (tmp_path / "out" / "report.md").exists()
+
+
+@pytest.mark.parametrize("summary", ["[]", '"mock-1"', "{}", "{"])
+def test_report_model_is_unknown_without_a_run_summary_object(tmp_path, summary):
+    run_score_then_report(tmp_path)
+    (tmp_path / "out" / "run_summary.json").write_text(summary, encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "report", "--scores", str(tmp_path / "out"), "--judgments", str(tmp_path / "judgments.tsv"),
+    ])
+    assert result.exit_code == 0, result.stderr
+    markdown = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    assert "- model: (unknown)" in markdown.splitlines()
 
 
 def test_report_fraction_rendering(tmp_path):
