@@ -8,26 +8,35 @@ offline. Both sit behind the same two-method surface (`provider_id`,
 `run_batch` is the one caller of a provider and of the cache, and
 `cached_complete` is its one-prompt case. The cache keys responses by a
 content digest over (model, template id, template version, final prompt
-text, generation parameters). Cache entries are plain JSON files, written
-atomically, that store the request's own fields next to the answer; a read
-is a hit only if the stored digest and fields equal the request's, and
-anything that fails the check is quarantined and treated as a miss.
+text, generation parameters), a SHA-256 from the interpreter's built-in
+module, so no run loads OpenSSL for it. Cache entries are plain JSON
+files, written atomically in one binary write, that store the request's
+own fields next to the answer; a read is a hit only if the stored digest
+and fields equal the request's, and anything that fails the check is
+quarantined and treated as a miss. A fully cached run loads neither
+concurrent.futures nor logging: the thread pool is imported for the first
+batch with a miss, logging for the first quarantine.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import tempfile
 import threading
 import time
 import unicodedata
-# perfbench/tracing.py replaces kpe.backend.ThreadPoolExecutor to time pool tasks.
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+# The built-in SHA-256, as random.py takes it: hashlib would map OpenSSL for it.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .corpus import EvalDataset
 from .errors import (
@@ -50,7 +59,9 @@ from .prompting import (
     parse_token_list,
 )
 
-log = logging.getLogger(__name__)
+# Imported by run_batch for its first pool; perfbench/tracing.py replaces
+# kpe.backend.ThreadPoolExecutor to time pool tasks.
+ThreadPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ class CompletionFailure:
 
 def _encode_part(part: str) -> bytes:
     data = part.encode("utf-8")
-    return f"{len(data)}:".encode("ascii") + data
+    return b"%d:%s" % (len(data), data)
 
 
 def cache_key(
@@ -116,10 +127,7 @@ def cache_key(
     else:
         parts.append(f"stop:{len(params.stop)}")
         parts.extend(params.stop)
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(_encode_part(part))
-    return h.hexdigest()
+    return sha256(b"".join(_encode_part(part) for part in parts)).hexdigest()
 
 
 def request_digest(prompt: RenderedPrompt, params: GenParams) -> str:
@@ -135,14 +143,15 @@ class FileCache:
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
+        self._root = str(self.cache_dir)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.corruptions = 0
 
-    def _path(self, digest: str) -> Path:
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+    def _path(self, digest: str) -> str:
+        return f"{self._root}/{digest[:2]}/{digest}.json"
 
     @staticmethod
     def _request_fields(digest: str, prompt: RenderedPrompt, params: GenParams) -> dict:
@@ -169,7 +178,9 @@ class FileCache:
             # An entry can vanish at any moment (a concurrent `cache gc`, or
             # another run's quarantine), so a missing file is a miss however
             # late it went missing. Other OSErrors still raise.
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, "rb", buffering=0) as fh:  # unbuffered: read() takes the whole file
+                raw = fh.read()
+            obj = json.loads(raw.decode("utf-8"))  # json.loads(bytes) would take UTF-16 too
             valid = isinstance(obj["completion_text"], str) and all(
                 obj[k] == v for k, v in self._request_fields(digest, prompt, params).items()
             )
@@ -186,27 +197,32 @@ class FileCache:
             self.hits += 1
         return obj["completion_text"]
 
-    def _quarantine(self, path: Path) -> None:
-        quarantined = path.with_suffix(".json.corrupt")
+    def _quarantine(self, path: str) -> None:
+        import logging  # here, so that a run without corrupt entries never loads it
+
         try:
-            os.replace(path, quarantined)
+            os.replace(path, f"{path}.corrupt")
         except OSError:
             pass
         with self._lock:
             self.corruptions += 1
             self.misses += 1
-        log.warning("quarantined corrupt cache entry %s", path.name)
+        logging.getLogger(__name__).warning(
+            "quarantined corrupt cache entry %s", os.path.basename(path)
+        )
 
     def put(self, digest: str, prompt: RenderedPrompt, params: GenParams, text: str) -> None:
         """Atomic write of the request and its answer as one JSON object: temp file, then rename."""
         entry = self._request_fields(digest, prompt, params)
         entry.update(completion_text=text, created_at=time.time())
+        data = json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
         path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False, sort_keys=True)
+            with open(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -218,7 +234,11 @@ class FileCache:
             self.writes += 1
 
     def gc(self, max_age_s: float, now: float | None = None) -> int:
-        """Delete entries (and quarantined files) older than max_age_s by mtime."""
+        """Delete entries, quarantined files and orphaned temp files older than max_age_s.
+
+        Age is by mtime. A temp file is left behind when a put is killed
+        before its rename; a younger one may be a put still in progress.
+        """
         if now is None:
             now = time.time()
         cutoff = now - max_age_s
@@ -226,7 +246,7 @@ class FileCache:
         if not self.cache_dir.exists():
             return 0
         for path in sorted(self.cache_dir.glob("*/*")):
-            if path.suffix not in (".json", ".corrupt"):
+            if path.suffix not in (".json", ".corrupt", ".tmp"):
                 continue
             try:
                 if path.stat().st_mtime < cutoff:
@@ -604,6 +624,8 @@ def run_batch(
 
     def settle(members: list[int], outcome: CompletionResult | CompletionFailure) -> None:
         results[members[0]] = outcome
+        if len(members) == 1:
+            return
         if isinstance(outcome, CompletionResult):
             outcome = replace(outcome, from_cache=True, latency_ms=0)
         for extra in members[1:]:
@@ -655,6 +677,9 @@ def run_batch(
             request_digest=digest,
         )
 
+    global ThreadPoolExecutor
+    if ThreadPoolExecutor is None:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         for (_digest, members), outcome in zip(misses, pool.map(complete, misses)):
             settle(members, outcome)

@@ -49,7 +49,6 @@ from .parsing import parse_categorical, parse_scalar, parse_stars
 from .prompting import (
     ESTIMATORS,
     PromptTemplate,
-    RenderedPrompt,
     builtin_templates,
     render_template,
 )
@@ -198,9 +197,10 @@ class ScoreTable:
 
     def write_jsonl(self, path: str | Path) -> None:
         """One object per score, sorted by key; deterministic bytes."""
+        encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key in sorted(self.scores):
-                fh.write(json.dumps(_to_json(self.scores[key]), ensure_ascii=False, sort_keys=True))
+                fh.write(encode(_to_json(self.scores[key])))
                 fh.write("\n")
 
 
@@ -238,7 +238,7 @@ class _Answer:
     """One completed prompt, parsed once for every estimator that asked it."""
 
     template: PromptTemplate
-    prompt: RenderedPrompt
+    bindings: dict[str, str]  # the prompt's; its rendered text is not kept
     outcome: CompletionResult | CompletionFailure
     ordinal: int | float | None = None
     class_string: str | None = None
@@ -281,7 +281,7 @@ class _PairState:
             template_id=answer.template.template_id,
             version=answer.template.version,
             digest=outcome.request_digest,
-            bindings=answer.prompt.bindings,
+            bindings=answer.bindings,
         )
         if isinstance(outcome, CompletionFailure):
             error = f"{outcome.error_kind}: {outcome.message}"
@@ -319,7 +319,7 @@ def _ask(batch, provider, cache, params, max_in_flight) -> list[_Answer]:
         prompts.append(render_template(template, bindings))
     outcomes = run_batch(provider, cache, prompts, params, max_in_flight=max_in_flight)
     return [
-        _Answer(item[0], prompt, outcome)
+        _Answer(item[0], prompt.bindings, outcome)
         for item, prompt, outcome in zip(batch, prompts, outcomes)
     ]
 

@@ -633,7 +633,7 @@ def cache() -> None:
 @click.option("--cache-dir", type=str, required=True)
 @click.option("--max-age", type=str, required=True, help="e.g. 3600, 90m, 24h, 7d")
 def cache_gc(cache_dir, max_age) -> None:
-    """Delete cache entries older than --max-age."""
+    """Delete cache entries, quarantined files and orphaned temp files older than --max-age."""
     try:
         age_s = parse_max_age(max_age)
         if not Path(cache_dir).is_dir():

@@ -28,6 +28,11 @@ def _after_anchor(text: str, kind: str) -> str:
     return text.lower().rpartition(ANSWER_ANCHORS[kind].lower())[2]
 
 
+# "not", "n't", then an optional article, right before a label: the answer
+# rules that class out ("not a Perfect translation"), so it is not a match.
+_NEGATION_RE = re.compile(r"(?:\bnot|n't)\s+(?:(?:a|an|the)\s+)?$")
+
+
 def parse_categorical(text: str, schema: ResponseSchema) -> int:
     """Return the index of the class label a response names.
 
@@ -36,20 +41,25 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
     has a `Class:` anchor, only the text after the last one is searched, so
     an answer that first echoes the class list is read from its verdict.
     When several labels occur, the longest match wins; equal lengths fall
-    back to the earliest occurrence. Distinct labels matching the same best
-    span (possible only if two labels are case-variants) is an
-    AmbiguityError.
+    back to the earliest occurrence. A label directly preceded by "not" or
+    "n't" (optionally followed by a/an/the) is negated and never matches;
+    if only negated labels occur, that is a NoMatchError. Distinct labels
+    matching the same best span (possible only if two labels are
+    case-variants) is an AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")
     lowered = _after_anchor(text, "categorical")
     best: tuple[int, int, int] | None = None  # (-len, pos, class index)
+    negated = False
     for idx, label in enumerate(schema.classes):
         needle = label.lower()
         pos = lowered.find(needle)
         while pos != -1:
             cand = (-len(needle), pos, idx)
-            if best is None or cand[:2] < best[:2]:
+            if _NEGATION_RE.search(lowered, 0, pos):
+                negated = True
+            elif best is None or cand[:2] < best[:2]:
                 best = cand
             elif cand[:2] == best[:2] and cand[2] != best[2]:
                 raise AmbiguityError(
@@ -58,6 +68,8 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
                 )
             pos = lowered.find(needle, pos + 1)
     if best is None:
+        if negated:
+            raise NoMatchError(f"the only class labels in {text!r} are negated")
         raise NoMatchError(f"no class label found in {text!r}")
     return best[2]
 

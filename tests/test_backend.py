@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -148,6 +151,22 @@ def test_cache_reads_and_rewrites_existing_entries_unchanged(tmp_path, monkeypat
     assert _entry_path(new, PARENT_DIGEST).read_bytes() == stored
 
 
+def test_digest_falls_back_to_hashlib_without_builtin_sha256():
+    # an interpreter built without its own SHA-256 module digests through hashlib
+    src = str(Path(kpe.backend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from kpe.backend import GenParams, request_digest\n"
+        "from kpe.prompting import RenderedPrompt\n"
+        f"print(request_digest({PARENT_PROMPT!r}, {PARENT_PARAMS!r}), 'hashlib' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == [PARENT_DIGEST, "True"]
+
+
 def test_cache_miss_counts(tmp_path):
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
@@ -217,13 +236,12 @@ def test_cache_entry_removed_mid_read_is_a_miss(tmp_path, monkeypatch):
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
     cache.put(digest, prompt, PARAMS, ANSWER)
-    original = Path.read_text
 
-    def read_after_unlink(self, *args, **kwargs):
-        self.unlink()
-        return original(self, *args, **kwargs)
+    def open_after_unlink(path, *args, **kwargs):
+        os.unlink(path)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", read_after_unlink)
+    monkeypatch.setattr(kpe.backend, "open", open_after_unlink, raising=False)
     assert cache.get(digest, prompt, PARAMS) is None
     assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 0)
 
@@ -233,10 +251,10 @@ def test_cache_get_other_os_errors_raise(tmp_path, monkeypatch):
     digest, prompt = _entry()
     cache.put(digest, prompt, PARAMS, ANSWER)
 
-    def denied(self, *args, **kwargs):
-        raise PermissionError(str(self))
+    def denied(path, *args, **kwargs):
+        raise PermissionError(str(path))
 
-    monkeypatch.setattr(Path, "read_text", denied)
+    monkeypatch.setattr(kpe.backend, "open", denied, raising=False)
     with pytest.raises(PermissionError):
         cache.get(digest, prompt, PARAMS)
 

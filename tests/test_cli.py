@@ -226,6 +226,21 @@ def test_cli_import_leaves_requests_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_openssl_and_logging_unloaded():
+    # the cache digest is the interpreter's built-in SHA-256, and logging (which
+    # concurrent.futures loads too) waits for a corrupt entry or a batch with a
+    # miss, so a fully cached run maps neither OpenSSL nor logging
+    src = str(Path(kpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    modules = ["_hashlib", "logging"]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, kpe.cli; print([m for m in {modules!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_only_what_score_runs():
     # alignment (and the html module it escapes SVG text with) loads only
     # when `kpe align` runs, toydata never; every public name of the package
@@ -774,6 +789,23 @@ def test_cache_gc_reports_removals(tmp_path):
     )
     assert stale.exit_code == 0
     assert "removed 4 entries" in stale.output
+
+
+def test_cache_gc_removes_orphaned_temp_files(tmp_path):
+    # a put killed between mkstemp and os.replace leaves a .tmp in its shard; gc
+    # ages it out with the entries beside it and keeps a fresh one (a put in progress)
+    shard = tmp_path / "cache" / "ab"
+    shard.mkdir(parents=True)
+    for name in ("x.tmp", "x.json", "x.json.corrupt", "fresh.tmp"):
+        (shard / name).write_text("{", encoding="utf-8")
+    for name in ("x.tmp", "x.json", "x.json.corrupt"):
+        os.utime(shard / name, (1577836800, 1577836800))  # 2020-01-01
+    result = CliRunner().invoke(
+        main, ["cache", "gc", "--cache-dir", str(tmp_path / "cache"), "--max-age", "1d"]
+    )
+    assert result.exit_code == 0
+    assert "removed 3 entries" in result.output
+    assert [p.name for p in shard.iterdir()] == ["fresh.tmp"]
 
 
 def test_cache_gc_missing_dir_exits_1(tmp_path):

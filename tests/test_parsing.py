@@ -60,6 +60,24 @@ def test_categorical_reads_after_the_last_class_anchor():
         parse_categorical("Perfect translation. Class: unsure", CAT5)
 
 
+def test_categorical_skips_a_negated_label():
+    # "not a Perfect translation" names the class the answer rules out
+    for text in ("Class: not a Perfect translation",
+                 "Class: Not a perfect translation, but Good translation",
+                 "Class: it isn't the Perfect translation"):
+        with pytest.raises(NoMatchError, match="negated"):
+            parse_categorical(text, CAT5)
+    assert parse_categorical("Class: Not a perfect translation, but Good translation",
+                             CAT3) == 2
+    assert parse_categorical("Class: not Perfect translation; Most meaning preserved, "
+                             "minor issues", CAT5) == 3
+    # a negation word inside a label, or before an unrelated word, is not a negation
+    assert parse_categorical("Class: No meaning preserved", CAT5) == 0
+    assert parse_categorical("Class: Some meaning preserved, but not understandable",
+                             CAT5) == 1
+    assert parse_categorical("Class: cannot fault it, Perfect translation", CAT5) == 4
+
+
 def test_categorical_earliest_of_equal_lengths():
     schema = ResponseSchema(kind="categorical", classes=("alpha", "gamma"))
     got = parse_categorical("gamma then alpha", schema)
