@@ -16,6 +16,14 @@ and fields equal the request's, and anything that fails the check is
 quarantined and treated as a miss. A fully cached run loads neither
 concurrent.futures nor logging: the thread pool is imported for the first
 batch with a miss, logging for the first quarantine.
+
+`run_batch` sends misses in input order from max_in_flight + 1 worker
+threads, and a worker holds one of max_in_flight slots only while the
+provider call runs. It writes the answer to the cache after letting its
+slot go, so another worker's request goes out during the write, while the
+provider never sees more than max_in_flight requests (or, over the
+keep-alive transport, connections) at once. Once a worker raises, or the
+caller leaves the batch, no worker sends another request.
 """
 
 from __future__ import annotations
@@ -218,8 +226,11 @@ class FileCache:
         data = json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
         path = self._path(digest)
         shard = os.path.dirname(path)
-        os.makedirs(shard, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        try:
+            fd, tmp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        except FileNotFoundError:  # the shard's first entry, or a shard removed since
+            os.makedirs(shard, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
         try:
             with open(fd, "wb") as fh:
                 fh.write(data)
@@ -589,6 +600,42 @@ class MockProvider:
 STORM_MIN_BATCH = 4
 
 
+class _Slots:
+    """n request slots that hand out a batch's misses in input order.
+
+    take() waits for a free slot and returns the index of the next miss to
+    send; after stop() it returns None. Misses go with slots, not with pool
+    tasks, so whichever worker is free first sends (handing each slot to one
+    sleeping worker cost a wake-up per request on a busy host), and an
+    interrupted batch has sent a prefix of its misses.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._free = n
+        self._next = 0
+        self._stopped = False
+
+    def take(self) -> int | None:
+        with self._cond:
+            self._cond.wait_for(lambda: self._stopped or self._free > 0)
+            if self._stopped:
+                return None
+            self._free -= 1
+            self._next += 1
+            return self._next - 1
+
+    def give_back(self) -> None:
+        with self._cond:
+            self._free += 1
+            self._cond.notify()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+
 def run_batch(
     provider,
     cache: FileCache | None,
@@ -602,14 +649,20 @@ def run_batch(
     first of a duplicate group is looked up or sent, the rest are reported
     as cache hits with latency 0. Cache lookups run inline in the calling
     thread, so a fully cached batch never opens a thread pool; only misses
-    go to the provider, through a pool of max_in_flight workers.
+    go to the provider, through a pool of max_in_flight + 1 workers. A
+    worker holds one of max_in_flight slots for the provider call only and
+    writes the answer to the cache after releasing it, so at most
+    max_in_flight requests are in flight while writes run in parallel
+    with them.
 
     Item failures are captured per slot as CompletionFailure. The only
     batch-level failure is a cache corruption storm: in a batch of at least
     STORM_MIN_BATCH items, more than half the items hitting corrupt entries
     raises CacheCorruptionError. It is checked after all lookups and before
     any provider call. Smaller batches quarantine corrupt entries and treat
-    them as misses.
+    them as misses. Anything else a worker raises (a failed cache write, an
+    interrupt) ends the batch: no worker sends a request after it, and the
+    caller raises it when it reaches that item.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
@@ -653,23 +706,37 @@ def run_batch(
     if not misses:
         return results  # type: ignore[return-value]
 
-    def complete(miss: tuple[str, list[int]]) -> CompletionResult | CompletionFailure:
-        digest, members = miss
+    slots = _Slots(max_in_flight)
+
+    def complete(_task: int) -> tuple[int, CompletionResult | CompletionFailure] | None:
+        i = slots.take()
+        if i is None:
+            return None  # stopped: a worker or the caller is raising
+        digest, members = misses[i]
         prompt = prompts[members[0]]
         started = time.monotonic()
         try:
             text = provider.complete(prompt, params)
+            latency_ms = int((time.monotonic() - started) * 1000)
         except KpeError as exc:
-            return CompletionFailure(
+            return i, CompletionFailure(
                 error_kind=type(exc).__name__,
                 message=str(exc),
                 request_digest=digest,
                 exception=exc,
             )
-        latency_ms = int((time.monotonic() - started) * 1000)
+        except BaseException:
+            slots.stop()  # before the slot goes back, so no waiting worker sends
+            raise
+        finally:
+            slots.give_back()
         if cache is not None:
-            cache.put(digest, prompt, params, text)
-        return CompletionResult(
+            try:
+                cache.put(digest, prompt, params, text)
+            except BaseException:
+                slots.stop()
+                raise
+        return i, CompletionResult(
             text=text,
             provider_id=provider.provider_id,
             from_cache=False,
@@ -680,9 +747,17 @@ def run_batch(
     global ThreadPoolExecutor
     if ThreadPoolExecutor is None:
         from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        for (_digest, members), outcome in zip(misses, pool.map(complete, misses)):
-            settle(members, outcome)
+    # One worker more than slots: it sends the next request while another
+    # worker writes its answer to the cache. Tasks are interchangeable: each
+    # sends whichever miss its slot hands out.
+    with ThreadPoolExecutor(max_workers=max_in_flight + 1) as pool:
+        try:
+            for done in pool.map(complete, range(len(misses))):
+                if done is not None:  # None only once stopped, and a later task raises
+                    i, outcome = done
+                    settle(misses[i][1], outcome)
+        finally:
+            slots.stop()
     return results  # type: ignore[return-value]
 
 

@@ -23,9 +23,13 @@ from .errors import (
 from .prompting import ANSWER_ANCHORS, ResponseSchema
 
 
-def _after_anchor(text: str, kind: str) -> str:
-    """The lowercased text after the last anchor of kind; all of it if none."""
-    return text.lower().rpartition(ANSWER_ANCHORS[kind].lower())[2]
+def _after_anchor(text: str, kind: str) -> tuple[str, bool]:
+    """The lowercased text after the last anchor of kind, and whether there was one.
+
+    With no anchor the text is all of the answer.
+    """
+    _head, anchor, tail = text.lower().rpartition(ANSWER_ANCHORS[kind].lower())
+    return tail, bool(anchor)
 
 
 # "not", "n't", then an optional article, right before a label: the answer
@@ -40,23 +44,26 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
     label do not matter because matching is positional. If the response
     has a `Class:` anchor, only the text after the last one is searched, so
     an answer that first echoes the class list is read from its verdict.
-    When several labels occur, the longest match wins; equal lengths fall
-    back to the earliest occurrence. A label directly preceded by "not" or
-    "n't" (optionally followed by a/an/the) is negated and never matches;
-    if only negated labels occur, that is a NoMatchError. Distinct labels
-    matching the same best span (possible only if two labels are
-    case-variants) is an AmbiguityError.
+    After an anchor, the label that starts first wins, so an answer that
+    goes on to name a class it rejects is read from its verdict; of two
+    labels starting together, the longer wins. Without an anchor, the
+    longest label anywhere wins, the earliest of equal lengths. A label
+    directly preceded by "not" or "n't" (optionally followed by a/an/the)
+    is negated and never matches; if only negated labels occur, that is a
+    NoMatchError. Distinct labels matching the same best span (possible
+    only if two labels are case-variants) is an AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")
-    lowered = _after_anchor(text, "categorical")
-    best: tuple[int, int, int] | None = None  # (-len, pos, class index)
+    lowered, anchored = _after_anchor(text, "categorical")
+    # (pos, -len, class index) after an anchor, else (-len, pos, class index)
+    best: tuple[int, int, int] | None = None
     negated = False
     for idx, label in enumerate(schema.classes):
         needle = label.lower()
         pos = lowered.find(needle)
         while pos != -1:
-            cand = (-len(needle), pos, idx)
+            cand = (pos, -len(needle), idx) if anchored else (-len(needle), pos, idx)
             if _NEGATION_RE.search(lowered, 0, pos):
                 negated = True
             elif best is None or cand[:2] < best[:2]:
@@ -79,7 +86,7 @@ _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
     """Parse the first decimal number after the anchor; outside [lo, hi] is a RangeError."""
-    m = _NUMBER_RE.search(_after_anchor(text, "scalar"))
+    m = _NUMBER_RE.search(_after_anchor(text, "scalar")[0])
     if not m:
         raise NoNumberError(f"no number found in {text!r}")
     value = float(m.group(0))
@@ -88,31 +95,41 @@ def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
     return value
 
 
-_STAR_GLYPH_RE = re.compile(r"★+")
-_OUT_OF_RE = re.compile(r"(-?\d+)\s*\(?\s*(?:/|out\s+of)\s*(\d+)", re.IGNORECASE)
-_N_STARS_RE = re.compile(r"(-?\d+)\s*stars?\b", re.IGNORECASE)
-_INT_RE = re.compile(r"(-?\d+)")
+# The star-rating forms in order of rank; m.lastindex is the form's rank.
+_STARS_RE = re.compile(
+    r"(★+)"  # 1: glyphs
+    r"|(-?\d+)\s*\(?\s*(?:/|out\s+of)\s*(\d+)"  # 3: N/M or N out of M
+    r"|(-?\d+)\s*stars?\b"  # 4: N stars
+    r"|(-?\d+)"  # 5: a bare N
+)
 
 
 def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
     """Parse a star rating: star glyphs, "N/hi" or "N out of hi", "N stars", or a bare N.
 
-    The forms are tried in that order, so "4 out of 5 stars" reads 4, not
-    the scale's 5. As in parse_categorical, a response with a `Stars:`
-    anchor is read only after the last one. An "N/M" or "N out of M" whose
-    M is not hi is a RangeError: it rates on another scale.
+    As in parse_categorical, a response with a `Stars:` anchor is read only
+    after the last one, and there the leftmost rating wins ("Stars: 3. Not
+    5 stars." reads 3). At one start the forms rank in the order above, and
+    an "N out of M" takes its N with it, so "4 out of 5 stars" reads 4, not
+    the scale's 5. Without an anchor, the highest-ranked form anywhere wins,
+    the earliest of one form. An "N/M" or "N out of M" whose M is not hi is
+    a RangeError: it rates on another scale.
     """
-    tail = _after_anchor(text, "stars")
-    if m := _STAR_GLYPH_RE.search(tail):
-        value = len(m.group(0))
-    elif m := _OUT_OF_RE.search(tail):
-        value, scale = int(m.group(1)), int(m.group(2))
-        if scale != hi:
-            raise RangeError(f"{value} out of {scale} is not a rating out of {hi} stars")
-    elif m := _N_STARS_RE.search(tail) or _INT_RE.search(tail):
-        value = int(m.group(1))
+    tail, anchored = _after_anchor(text, "stars")
+    matches = _STARS_RE.finditer(tail)
+    if anchored:
+        m = next(matches, None)
     else:
+        m = min(matches, key=lambda m: m.lastindex, default=None)
+    if m is None:
         raise NoMatchError(f"no star rating found in {text!r}")
+    glyphs, n_of, scale, n_stars, bare = m.groups()
+    if glyphs:
+        value = len(glyphs)
+    else:
+        value = int(n_of or n_stars or bare)
+        if scale is not None and int(scale) != hi:
+            raise RangeError(f"{value} out of {scale} is not a rating out of {hi} stars")
     if not lo <= value <= hi:
         raise RangeError(f"{value} stars outside [{lo}, {hi}]")
     return value

@@ -123,6 +123,20 @@ def test_cache_put_get_round_trip(tmp_path, monkeypatch):
     }
 
 
+def test_cache_put_recreates_a_removed_shard(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, "first")
+    shard = _entry_path(cache, digest).parent
+    for leftover in shard.iterdir():
+        leftover.unlink()
+    shard.rmdir()
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    assert cache.get(digest, prompt, PARAMS) == ANSWER
+    assert [p.name for p in shard.iterdir()] == [f"{digest}.json"]
+    assert cache.writes == 2
+
+
 # written by the previous cache code, which re-hashed the stored fields on read
 PARENT_CACHE = Path(__file__).parent / "data" / "cache"
 PARENT_DIGEST = "d0fdb54b82126519b1acb585c53f45625710bbf128c8d1fae80f5d54f4ea076e"
@@ -669,6 +683,68 @@ def test_run_batch_cache_write_failure_stops_the_batch(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         run_batch(provider, FailingCache(tmp_path / "cache"), prompts, PARAMS, max_in_flight=2)
     assert 1 <= provider.calls <= 2 + 1
+
+
+
+def test_run_batch_sends_the_next_request_while_an_answer_is_written(tmp_path):
+    # a slot is held for the provider call only, so with one slot the second
+    # request goes out while the first answer is still being written
+    second_call = threading.Event()
+    waited = []
+
+    class SignallingProvider(CountingProvider):
+        def complete(self, prompt, params):
+            text = super().complete(prompt, params)
+            if self.calls >= 2:
+                second_call.set()
+            return text
+
+    class WaitingCache(FileCache):
+        def put(self, digest, prompt, params, text):
+            waited.append(second_call.wait(timeout=2))
+            super().put(digest, prompt, params, text)
+
+    provider = SignallingProvider()
+    prompts = [_prompt(f"q{i}") for i in range(3)]
+    results = run_batch(provider, WaitingCache(tmp_path / "cache"), prompts, PARAMS,
+                        max_in_flight=1)
+    assert [r.text for r in results] == ["echo q0", "echo q1", "echo q2"]
+    assert waited == [True, True, True]
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+def test_run_batch_slow_writes_keep_provider_calls_within_max_in_flight(tmp_path,
+                                                                        max_in_flight):
+    class PeakProvider(CountingProvider):
+        active = peak = 0
+
+        def complete(self, prompt, params):
+            with self._lock:
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+            try:
+                time.sleep(0.002)
+                return super().complete(prompt, params)
+            finally:
+                with self._lock:
+                    self.active -= 1
+
+    class SlowCache(FileCache):
+        def put(self, digest, prompt, params, text):
+            time.sleep(0.005)
+            super().put(digest, prompt, params, text)
+
+    provider, cache = PeakProvider(), SlowCache(tmp_path / "cache")
+    prompts = [_prompt(f"q{i}") for i in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = run_batch(provider, cache, prompts, PARAMS, max_in_flight=max_in_flight)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.text for r in results] == [f"echo q{i}" for i in range(40)]
+    assert 1 <= provider.peak <= max_in_flight
+    assert (provider.calls, cache.writes) == (40, 40)
 
 
 def test_run_batch_without_cache():

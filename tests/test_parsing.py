@@ -78,6 +78,25 @@ def test_categorical_skips_a_negated_label():
     assert parse_categorical("Class: cannot fault it, Perfect translation", CAT5) == 4
 
 
+
+def test_categorical_after_an_anchor_the_first_label_wins():
+    fluency = builtin_templates().get("kpe_perplexity").schema
+    for text, label in (
+        ("Class: Perfectly fluent, although Moderately fluent would be too harsh",
+         "Perfectly fluent"),
+        ("Class: Mostly fluent (not merely Moderately fluent)", "Mostly fluent"),
+    ):
+        assert fluency.classes[parse_categorical(text, fluency)] == label
+    assert parse_categorical("Class: Perfect translation, although Some meaning preserved "
+                             "and understandable would be too harsh", CAT5) == 4
+    assert parse_categorical("Class: Perfect translation (not merely Most meaning "
+                             "preserved, minor issues)", CAT5) == 4
+    # at one start, the longer of two labels that share a prefix still wins
+    schema = ResponseSchema(kind="categorical", classes=("aa", "AA bb", "cc"))
+    assert schema.classes[parse_categorical("Class: AA bb, not cc", schema)] == "AA bb"
+    assert schema.classes[parse_categorical("Class: cc or AA bb", schema)] == "cc"
+
+
 def test_categorical_earliest_of_equal_lengths():
     schema = ResponseSchema(kind="categorical", classes=("alpha", "gamma"))
     got = parse_categorical("gamma then alpha", schema)
@@ -157,6 +176,21 @@ def test_parse_stars_reads_the_rating_not_the_scale():
     assert parse_stars("7/10 stars", 1, 10) == 7
     with pytest.raises(RangeError):
         parse_stars("3 out of 10", 1, 5)
+
+
+
+def test_parse_stars_reads_the_leftmost_rating_after_the_anchor():
+    assert parse_stars("Stars: 3. Not 5 stars.", 1, 5) == 3
+    assert parse_stars("Stars: 3 (I considered 5 stars)", 1, 5) == 3
+    assert parse_stars("Stars: 2 stars, not ★★★★", 1, 5) == 2
+    assert parse_stars("Stars: ★★ rather than 4/5", 1, 5) == 2
+    # an "N out of M" consumes its N, and "N stars" outranks a bare N at one start
+    assert parse_stars("Stars: 4 out of 5 stars", 1, 5) == 4
+    assert parse_stars("Stars: 4 stars", 1, 5) == 4
+    with pytest.raises(RangeError):
+        parse_stars("Stars: 3 out of 10, or 2 stars", 1, 5)
+    # without an anchor the forms keep their order over the whole answer
+    assert parse_stars("On a 1-5 scale, 4 stars", 1, 5) == 4
 
 
 def test_star_glyphs_win_over_digits():
