@@ -21,8 +21,8 @@ _EXPORTS = {
     "backend": "CompletionFailure CompletionResult FileCache GenParams HttpProvider "
                "MockFixtures MockProvider cache_key overlap_bucket request_digest run_batch "
                "trigram_overlap",
-    "chains": "COT_KINDS ESTIMATOR_NAMES ONE_STEP_KINDS SCORING_MODES EstimatorKind "
-              "QualityScore ScoreTable StepRecord load_score_file score_estimators",
+    "chains": "ESTIMATOR_NAMES SCORING_MODES EstimatorKind QualityScore ScoreTable "
+              "StepRecord load_score_file score_estimators",
     "corpus": "EvalDataset RRJudgment Segment SystemOutput dataset_stats load_dataset "
               "load_rr_judgments load_segments load_system_outputs save_dataset",
     "errors": "KpeError",

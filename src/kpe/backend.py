@@ -3,8 +3,9 @@
 The HTTP provider speaks the common chat-completions wire shape, by default
 over the keep-alive transport in `kpe.transport`. The mock provider grades
 deterministically from pseudo-reference fixtures so the whole harness runs
-offline. Both sit behind the same two-method surface (`provider_id`,
-`complete`).
+offline; it reads which estimator asked a prompt, and the aspect that
+estimator is graded on, from `kpe.prompting.ESTIMATORS`. Both sit behind
+the same two-method surface (`provider_id`, `complete`).
 `run_batch` is the one caller of a provider and of the cache, and
 `cached_complete` is its one-prompt case. The cache keys responses by a
 content digest over (model, template id, template version, final prompt
@@ -413,9 +414,10 @@ class MockFixtures:
     """Pseudo-references keyed by (lp, seg_id), plus reverse text indexes.
 
     refs is the base mapping; aspect_refs may override it per grading
-    aspect ("fluency", "token", "sentence") so the one-step prompts can be
-    given different error patterns. Prompts carry only bound texts, so the
-    provider finds the segment through the mt (or source) reverse index.
+    aspect (EstimatorSpec.aspect: "fluency", "token", "sentence") so the
+    one-step prompts can be given different error patterns. Prompts carry
+    only bound texts, so the provider finds the segment through the mt (or
+    source) reverse index.
     """
 
     refs: dict[tuple[str, str], str]
@@ -501,17 +503,9 @@ class MockFixtures:
         raise MissingFixtureError(f"no pseudo-reference for {key}")
 
 
-# The pseudo-reference each one-step estimator is graded against.
-ESTIMATOR_ASPECT = {
-    "gemba": "base",
-    "prompt1_perplexity": "fluency",
-    "prompt2_token": "token",
-    "prompt3_sentence": "sentence",
-}
-
-# Every quality template id -> (estimator, scoring mode) that asks it.
+# Every quality template id -> (estimator spec, scoring mode) that asks it.
 _TEMPLATE_USE = {
-    template_id: (name, mode)
+    template_id: (spec, mode)
     for name, spec in ESTIMATORS.items()
     for mode, template_id in spec.templates.items()
 }
@@ -542,12 +536,11 @@ class MockProvider:
         if prompt.template_id == "kpe_token_align":
             return self._align_response(prompt)
         schema = builtin_templates().get(prompt.template_id).schema
-        name, mode = _TEMPLATE_USE[prompt.template_id]
-        steps = ESTIMATORS[name].steps
-        if steps:
-            answer = self._combine_answer(prompt, steps, mode, schema)
+        spec, mode = _TEMPLATE_USE[prompt.template_id]
+        if spec.steps:
+            answer = self._combine_answer(prompt, spec.steps, mode, schema)
         else:
-            answer = self._quality_answer(prompt, ESTIMATOR_ASPECT[name], schema)
+            answer = self._quality_answer(prompt, spec.aspect, schema)
         return f"{ANSWER_ANCHORS[schema.kind]} {answer}"
 
     def _align_response(self, prompt: RenderedPrompt) -> str:

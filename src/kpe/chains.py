@@ -1,15 +1,7 @@
 """Quality estimators: one-step prompts and two chain-of-thought composites.
 
-Estimator names:
-
-    gemba               single quality-classification prompt
-    prompt1_perplexity  fluency of the translation alone
-    prompt2_token       word-level source/translation similarity
-    prompt3_sentence    sentence-level source/translation similarity
-    cot1                prompt1 + prompt2, then a combining prompt
-    cot2                prompt1 + prompt2 + prompt3, then a combining prompt
-
-prompting.ESTIMATORS describes each one. score_estimators is the one way
+prompting.ESTIMATORS states each one's templates, steps, combiner
+placeholder and mock aspect. score_estimators is the one way
 to score; a single pair is scored as a one-output EvalDataset. All
 requested estimators are scored by one plan in two stages: every step
 prompt any estimator needs completes (one run_batch call) before any
@@ -53,9 +45,7 @@ from .prompting import (
     render_template,
 )
 
-ONE_STEP_KINDS = tuple(name for name, spec in ESTIMATORS.items() if not spec.steps)
-COT_KINDS = tuple(name for name, spec in ESTIMATORS.items() if spec.steps)
-ESTIMATOR_NAMES = ONE_STEP_KINDS + COT_KINDS
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
 SCORING_MODES = tuple(dict.fromkeys(m for spec in ESTIMATORS.values() for m in spec.templates))
 STEP_FAILURES = ("abort_pair", "substitute_middle")
 
@@ -80,12 +70,17 @@ class EstimatorKind:
 
     @property
     def is_cot(self) -> bool:
-        return self.name in COT_KINDS
+        return bool(ESTIMATORS[self.name].steps)
 
     @property
     def template_id(self) -> str:
         """The estimator's template in its mode; for a chain, the combiner."""
         return ESTIMATORS[self.name].templates[self.scoring_mode]
+
+    @property
+    def template(self) -> PromptTemplate:
+        """The built-in template that template_id names."""
+        return builtin_templates().get(self.template_id)
 
     @property
     def steps(self) -> tuple["EstimatorKind", ...]:
@@ -338,7 +333,6 @@ def _run_plan(
     """Score outputs with every estimator in two batches; states per estimator name."""
     if step_failure not in STEP_FAILURES:
         raise InputError(f"unknown step_failure policy {step_failure!r}")
-    registry = builtin_templates()
     sources = [dataset.get_segment(out.lp, out.seg_id).src_text for out in outputs]
     states = {kind.name: [_PairState() for _ in outputs] for kind in kinds}
     live = []
@@ -351,7 +345,7 @@ def _run_plan(
 
     # Stage 1: every one-step template any estimator needs, once per live pair.
     step_templates = {
-        step.template_id: registry.get(step.template_id)
+        step.template_id: step.template
         for kind in kinds
         for step in (kind.steps or (kind,))
     }
@@ -375,7 +369,7 @@ def _run_plan(
 
     # Stage 2: every chain's combiner, bound to its steps' parsed classes.
     pending = [
-        (registry.get(kind.template_id), states[kind.name][i], i)
+        (kind.template, states[kind.name][i], i)
         for kind in kinds
         if kind.is_cot
         for i in live

@@ -21,7 +21,6 @@ from itertools import combinations
 from .chains import ScoreTable
 from .corpus import RRJudgment
 from .errors import EmptySystemError, InsufficientSystemsError
-from .prompting import ResponseSchema, builtin_templates
 
 # What kendall_tau_rr does with a judgment whose score is missing or errored.
 DROP_POLICIES = ("drop", "middle")
@@ -57,7 +56,7 @@ def kendall_tau_rr(
     """
     if drop_policy not in DROP_POLICIES:
         raise ValueError(f"unknown drop policy {drop_policy!r}")
-    middle = _schema(table).middle
+    middle = table.estimator.template.schema.middle
     tallies: dict[str, list[int]] = {}  # lp -> [concordant, discordant, excluded]
 
     def value_of(lp: str, system_id: str, seg_id: str) -> int | float | None:
@@ -148,7 +147,7 @@ class DistributionStats:
 def score_distribution(table: ScoreTable) -> DistributionStats:
     """Histogram of parsed scores over the classes or stars of the estimator's schema."""
     mode = table.estimator.scoring_mode
-    schema = _schema(table)
+    schema = table.estimator.template.schema
     if schema.kind == "categorical":
         n_bins, offset = len(schema.classes), 0
     elif schema.kind == "stars":
@@ -166,8 +165,3 @@ def score_distribution(table: ScoreTable) -> DistributionStats:
         counts[idx] += 1
         parsed += 1
     return DistributionStats(counts=tuple(counts), n_parsed=parsed)
-
-
-def _schema(table: ScoreTable) -> ResponseSchema:
-    """The answer schema of the estimator's template (a chain's combiner)."""
-    return builtin_templates().get(table.estimator.template_id).schema

@@ -5,8 +5,9 @@ number itself: parse_categorical the class index (0 = worst; the label is
 schema.classes[i]), parse_stars an int and parse_scalar a float. Each
 reads only the text after the last answer anchor of its kind
 (prompting.ANSWER_ANCHORS: `Class:`, `Stars:`, `Score:`), or the whole
-answer if it has none. They never clamp: an out-of-range number is a
-RangeError so degradation stays visible.
+answer if it has none; "4 stars:" or "superstars:" is not an anchor. They
+never clamp: an out-of-range number is a RangeError so degradation stays
+visible.
 """
 
 from __future__ import annotations
@@ -23,18 +24,27 @@ from .errors import (
 from .prompting import ANSWER_ANCHORS, ResponseSchema
 
 
+# An anchor counts where it starts a word and no number comes just before it
+# on its line ("4 stars: fluent" rates; "0 to 100\nScore: 85" anchors).
+_NOT_AN_ANCHOR_RE = re.compile(r"(?:\w|\d[^\S\n]*)\Z")
+
+
 def _after_anchor(text: str, kind: str) -> tuple[str, bool]:
     """The lowercased text after the last anchor of kind, and whether there was one.
 
     With no anchor the text is all of the answer.
     """
-    _head, anchor, tail = text.lower().rpartition(ANSWER_ANCHORS[kind].lower())
-    return tail, bool(anchor)
+    lowered, anchor = text.lower(), ANSWER_ANCHORS[kind].lower()
+    pos = len(lowered)
+    while (pos := lowered.rfind(anchor, 0, pos + len(anchor) - 1)) != -1:
+        if not _NOT_AN_ANCHOR_RE.search(lowered, 0, pos):
+            return lowered[pos + len(anchor):], True
+    return lowered, False
 
 
-# "not", "n't", then an optional article, right before a label: the answer
+# A negation, then an optional article, right before a label: the answer
 # rules that class out ("not a Perfect translation"), so it is not a match.
-_NEGATION_RE = re.compile(r"(?:\bnot|n't)\s+(?:(?:a|an|the)\s+)?$")
+_NEGATION_RE = re.compile(r"(?:\bnot|n't|\bfar\s+from|\banything\s+but)\s+(?:(?:a|an|the)\s+)?$")
 
 
 def parse_categorical(text: str, schema: ResponseSchema) -> int:
@@ -48,10 +58,10 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
     goes on to name a class it rejects is read from its verdict; of two
     labels starting together, the longer wins. Without an anchor, the
     longest label anywhere wins, the earliest of equal lengths. A label
-    directly preceded by "not" or "n't" (optionally followed by a/an/the)
-    is negated and never matches; if only negated labels occur, that is a
-    NoMatchError. Distinct labels matching the same best span (possible
-    only if two labels are case-variants) is an AmbiguityError.
+    right after "not", "n't", "far from" or "anything but" (and maybe
+    a/an/the) is negated and never matches; if only negated labels occur,
+    that is a NoMatchError. Distinct labels matching the same best span
+    (possible only if two labels are case-variants) is an AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")

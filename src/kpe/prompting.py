@@ -243,41 +243,49 @@ class EstimatorSpec:
     templates maps each scoring mode the estimator supports to its template
     id; for a chain that template is the combiner, and steps names the step
     estimators it runs first, in stage order. answer is the combiner
-    placeholder a step estimator's parsed class is bound to.
+    placeholder a step estimator's parsed class is bound to. aspect names
+    the mock pseudo-reference a one-step estimator is graded against ("base"
+    is MockFixtures.refs, the others its aspect_refs); a chain has none.
     """
 
     templates: dict[str, str]
     steps: tuple[str, ...] = ()
     answer: str | None = None
+    aspect: str | None = None
 
 
-# Every estimator, one-step kinds first. The chain runner and the mock
-# provider both read this table.
+# Every estimator, one-step kinds first (the report lists them in this
+# order). The chain runner, the mock provider and the toy corpus read it.
 ESTIMATORS: dict[str, EstimatorSpec] = {
+    # one quality-classification prompt
     "gemba": EstimatorSpec({
         "cat5": "gemba_classify",
         "cat3": "gemba_classify_cat3",
         "stars": "gemba_stars",
         "scalar": "gemba_scalar",
-    }),
+    }, aspect="base"),
+    # fluency of the translation alone
     "prompt1_perplexity": EstimatorSpec({
         "cat5": "kpe_perplexity",
         "cat3": "kpe_perplexity_cat3",
         "stars": "kpe_perplexity_stars",
         "scalar": "kpe_perplexity_scalar",
-    }, answer="perplexity_answer"),
+    }, answer="perplexity_answer", aspect="fluency"),
+    # word-level source/translation similarity
     "prompt2_token": EstimatorSpec({
         "cat5": "kpe_token_sim",
         "cat3": "kpe_token_sim_cat3",
         "stars": "kpe_token_sim_stars",
         "scalar": "kpe_token_sim_scalar",
-    }, answer="token_answer"),
+    }, answer="token_answer", aspect="token"),
+    # sentence-level source/translation similarity
     "prompt3_sentence": EstimatorSpec({
         "cat5": "kpe_sent_sim",
         "cat3": "kpe_sent_sim_cat3",
         "stars": "kpe_sent_sim_stars",
         "scalar": "kpe_sent_sim_scalar",
-    }, answer="sentence_answer"),
+    }, answer="sentence_answer", aspect="sentence"),
+    # chains: their steps, then a combining prompt
     "cot1": EstimatorSpec({
         "cat5": "kpe_cot1_combine",
         "cat3": "kpe_cot1_combine_cat3",

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backend import ESTIMATOR_ASPECT, MockFixtures, overlap_bucket, trigram_overlap
+from .backend import MockFixtures, overlap_bucket, trigram_overlap
 from .corpus import (
     EvalDataset,
     RRJudgment,
@@ -84,6 +84,9 @@ def _error_sets(lp_index: int) -> dict[str, set[int]]:
 
 _ERROR_SYSTEM = {"fluency": "sysA", "token": "sysB", "sentence": "sysC", "base": "sysA"}
 
+# Each one-step estimator's grading aspect gets its own reference.
+_ASPECTS = tuple(spec.aspect for spec in ESTIMATORS.values() if spec.aspect)
+
 
 def _target_bucket(aspect: str, system: str, seg: int, errors: dict[str, set[int]]) -> int:
     q = TRUE_ORDINAL[system]
@@ -113,7 +116,7 @@ def _segment_texts(
 
     mts = {sys: " ".join([seg_word] + groups[sys]) for sys in SYSTEMS}
     refs: dict[str, str] = {}
-    for aspect in ESTIMATOR_ASPECT.values():
+    for aspect in _ASPECTS:
         words = [seg_word]
         for sys in SYSTEMS:
             n = _N_FOR_BUCKET[_target_bucket(aspect, sys, seg, errors)]
@@ -121,8 +124,6 @@ def _segment_texts(
         while len(words) < 12:
             words.append(filler[len(words) % len(filler)])
         refs[aspect] = " ".join(words)
-
-    for aspect in ESTIMATOR_ASPECT.values():
         for sys in SYSTEMS:
             o = trigram_overlap(mts[sys], refs[aspect])
             if overlap_bucket(o, 5) != _target_bucket(aspect, sys, seg, errors):
@@ -176,16 +177,12 @@ def generate_toy_corpus() -> ToyCorpus:
                 aspect_refs.setdefault(aspect, {})[(lp, seg_id)] = ref
 
             for sys in SYSTEMS:
-                buckets = {
-                    name: _target_bucket(aspect, sys, seg, errors)
-                    for name, aspect in ESTIMATOR_ASPECT.items()
-                }
-                for name, spec in ESTIMATORS.items():
+                for name, spec in ESTIMATORS.items():  # steps come before chains
                     if spec.steps:
-                        mean = sum(buckets[s] for s in spec.steps) / len(spec.steps)
-                        value = _round_half_up(mean)
+                        steps = [expected[(step, lp, sys, seg_id)] for step in spec.steps]
+                        value = _round_half_up(sum(steps) / len(steps))
                     else:
-                        value = buckets[name]
+                        value = _target_bucket(spec.aspect, sys, seg, errors)
                     expected[(name, lp, sys, seg_id)] = value
 
         for j in range(N_JUDGMENTS):

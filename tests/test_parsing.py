@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpe.errors import (
     AmbiguityError,
     NoMatchError,
     NoNumberError,
+    ParseError,
     RangeError,
     UnknownClassError,
 )
@@ -19,6 +22,11 @@ from kpe.prompting import ResponseSchema, builtin_templates
 
 CAT5 = builtin_templates().get("gemba_classify").schema
 CAT3 = builtin_templates().get("gemba_classify_cat3").schema
+CATEGORICAL = [
+    schema
+    for schema in (builtin_templates().get(tid).schema for tid in builtin_templates().ids())
+    if schema.kind == "categorical"
+]
 
 
 def test_every_builtin_class_parses_back():
@@ -64,18 +72,26 @@ def test_categorical_skips_a_negated_label():
     # "not a Perfect translation" names the class the answer rules out
     for text in ("Class: not a Perfect translation",
                  "Class: Not a perfect translation, but Good translation",
-                 "Class: it isn't the Perfect translation"):
+                 "Class: it isn't the Perfect translation",
+                 "Class: far from Perfect translation",
+                 "Class: anything but a Perfect translation"):
         with pytest.raises(NoMatchError, match="negated"):
             parse_categorical(text, CAT5)
     assert parse_categorical("Class: Not a perfect translation, but Good translation",
                              CAT3) == 2
     assert parse_categorical("Class: not Perfect translation; Most meaning preserved, "
                              "minor issues", CAT5) == 3
+    assert parse_categorical("Class: far from a Perfect translation; Some meaning preserved "
+                             "and understandable", CAT5) == 2
+    assert parse_categorical("Class: anything but Perfect translation. Most meaning "
+                             "preserved, minor issues", CAT5) == 3
     # a negation word inside a label, or before an unrelated word, is not a negation
     assert parse_categorical("Class: No meaning preserved", CAT5) == 0
     assert parse_categorical("Class: Some meaning preserved, but not understandable",
                              CAT5) == 1
     assert parse_categorical("Class: cannot fault it, Perfect translation", CAT5) == 4
+    assert parse_categorical("Class: far, far from bad: Perfect translation", CAT5) == 4
+    assert parse_categorical("Class: anything but... Good translation", CAT3) == 2
 
 
 
@@ -140,6 +156,19 @@ def test_parse_scalar_reads_after_the_last_score_anchor():
     assert parse_scalar("On a scale from 0 to 100, 85.", 0, 100) == 0.0
 
 
+def test_an_anchor_starts_a_word_and_follows_no_number():
+    # "4 stars:" is a rating followed by a colon, not the Stars: anchor
+    assert parse_stars("I would give it 4 stars: fluent and accurate.", 1, 5) == 4
+    assert parse_stars("Stars: 4 stars: fluent", 1, 5) == 4
+    # "superstars:" and "subclass:" hold an anchor's letters but do not start one
+    assert parse_stars("Stars: 3 (5 for the superstars: none)", 1, 5) == 3
+    assert parse_categorical("Class: Perfect translation (the subclass: unclear)", CAT5) == 4
+    # a number with other text, or a line break, before the anchor leaves the anchor whole
+    assert parse_scalar("Scores range from 0 to 100. Score: 85", 0, 100) == 85.0
+    assert parse_scalar("Rate it on a scale from 0 to 100\nScore: 85", 0, 100) == 85.0
+    assert parse_stars("Rate it from 1 to 5\n  Stars: 4", 1, 5) == 4
+
+
 def test_parse_scalar_never_clamps():
     with pytest.raises(RangeError):
         parse_scalar("105", 0, 100)
@@ -196,6 +225,56 @@ def test_parse_stars_reads_the_leftmost_rating_after_the_anchor():
 def test_star_glyphs_win_over_digits():
     assert parse_stars("★★ (2/5)") == 2
     assert parse_stars("rating ★★★★ out of 5") == 4
+
+
+# Answer text assembled from parser-relevant pieces and arbitrary text.
+_PIECES = st.sampled_from([
+    "Class:", "class :", "CLASS", "Stars:", "stars", "Score:", "score", " ", "\n", ".", ",",
+    "not ", "n't ", "far from ", "anything but ", "a ", "the ", "★", "★★", "/", "/5",
+    " out of ", "5", "4", "-1", "0", "100", "3.5", "1e3",
+    *dict.fromkeys(label for schema in CATEGORICAL for label in schema.classes),
+])
+_ANSWERS = st.lists(st.one_of(_PIECES, st.text(max_size=6)), max_size=12).map("".join)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(text=_ANSWERS, schema=st.sampled_from(CATEGORICAL))
+def test_categorical_returns_a_class_index_or_raises_a_parse_error(text, schema):
+    try:
+        got = parse_categorical(text, schema)
+    except ParseError:
+        return
+    assert type(got) is int and 0 <= got < len(schema.classes)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(text=_ANSWERS, scale=st.sampled_from([(1, 5), (1, 10), (0, 4)]))
+def test_stars_returns_an_in_range_int_or_raises_a_parse_error(text, scale):
+    lo, hi = scale
+    try:
+        got = parse_stars(text, lo, hi)
+    except ParseError:
+        return
+    assert type(got) is int and lo <= got <= hi
+
+
+@settings(derandomize=True, max_examples=300)
+@given(text=_ANSWERS, scale=st.sampled_from([(0.0, 100.0), (0.0, 1.0), (-5.0, 5.0)]))
+def test_scalar_returns_an_in_range_float_or_raises_a_parse_error(text, scale):
+    lo, hi = scale
+    try:
+        got = parse_scalar(text, lo, hi)
+    except ParseError:
+        return
+    assert type(got) is float and lo <= got <= hi
+
+
+@settings(derandomize=True, max_examples=300)
+@given(data=st.data(), tail=_ANSWERS.filter(lambda t: "class:" not in t.lower()))
+def test_categorical_reads_the_label_right_after_the_only_anchor(data, tail):
+    schema = data.draw(st.sampled_from(CATEGORICAL))
+    idx = data.draw(st.sampled_from(range(len(schema.classes))))
+    assert parse_categorical("Class: " + schema.classes[idx] + tail, schema) == idx
 
 
 def test_category_to_ordinal():

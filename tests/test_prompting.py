@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from kpe.errors import (
@@ -118,6 +120,19 @@ def test_combiners_declare_answer_placeholders():
                 assert registry.get(step.templates[mode]).schema.kind == "categorical"
             seen[combiner_id] = tuple(step.templates[mode] for step in steps)
     assert seen == combiners
+
+
+def test_catalogue_invariants(toy):
+    # the mock's template -> (estimator, mode) index would keep only the last of two uses
+    uses = Counter(tid for spec in ESTIMATORS.values() for tid in spec.templates.values())
+    assert [tid for tid, n in uses.items() if n > 1] == []
+    segments = set(toy.fixtures.refs)
+    for name, spec in ESTIMATORS.items():
+        assert (spec.aspect is None) == bool(spec.steps), name
+        if spec.aspect == "base":
+            assert "base" not in toy.fixtures.aspect_refs
+        elif spec.aspect is not None:
+            assert set(toy.fixtures.aspect_refs[spec.aspect]) == segments, name
 
 
 def _tiny_template(body="hello {name}", placeholders=("name",)):
