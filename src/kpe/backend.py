@@ -18,13 +18,14 @@ quarantined and treated as a miss. A fully cached run loads neither
 concurrent.futures nor logging: the thread pool is imported for the first
 batch with a miss, logging for the first quarantine.
 
-`run_batch` sends misses in input order from max_in_flight + 1 worker
-threads, and a worker holds one of max_in_flight slots only while the
-provider call runs. It writes the answer to the cache after letting its
-slot go, so another worker's request goes out during the write, while the
-provider never sees more than max_in_flight requests (or, over the
-keep-alive transport, connections) at once. Once a worker raises, or the
-caller leaves the batch, no worker sends another request.
+`run_batch` sends misses in input order from at most max_in_flight + 1
+worker threads. The pool holds one task per worker, and each worker sends
+misses until none are left. A worker holds one of max_in_flight slots
+only while the provider call runs. It writes the answer to the cache
+after letting its slot go, so another worker's request goes out during
+the write, while the provider never sees more than max_in_flight requests
+(or, over the keep-alive transport, connections) at once. Once a worker
+raises, or the caller leaves the batch, no worker sends another request.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class GenParams:
     stop: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionResult:
     text: str
     provider_id: str
@@ -597,22 +598,26 @@ class _Slots:
     """n request slots that hand out a batch's misses in input order.
 
     take() waits for a free slot and returns the index of the next miss to
-    send; after stop() it returns None. Misses go with slots, not with pool
-    tasks, so whichever worker is free first sends (handing each slot to one
-    sleeping worker cost a wake-up per request on a busy host), and an
-    interrupted batch has sent a prefix of its misses.
+    send; once every miss has been handed out, or after stop(), it returns
+    None. Misses go with slots, not with pool tasks, so whichever worker is
+    free first sends (handing each slot to one sleeping worker cost a
+    wake-up per request on a busy host), and an interrupted batch has sent
+    a prefix of its misses.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, misses: int) -> None:
         self._cond = threading.Condition(threading.Lock())
         self._free = n
         self._next = 0
+        self._misses = misses
         self._stopped = False
 
     def take(self) -> int | None:
         with self._cond:
-            self._cond.wait_for(lambda: self._stopped or self._free > 0)
-            if self._stopped:
+            self._cond.wait_for(
+                lambda: self._stopped or self._next == self._misses or self._free > 0
+            )
+            if self._stopped or self._next == self._misses:
                 return None
             self._free -= 1
             self._next += 1
@@ -642,9 +647,10 @@ def run_batch(
     first of a duplicate group is looked up or sent, the rest are reported
     as cache hits with latency 0. Cache lookups run inline in the calling
     thread, so a fully cached batch never opens a thread pool; only misses
-    go to the provider, through a pool of max_in_flight + 1 workers. A
-    worker holds one of max_in_flight slots for the provider call only and
-    writes the answer to the cache after releasing it, so at most
+    go to the provider, through a pool that holds one task per worker, at
+    most max_in_flight + 1 of them. Each worker sends misses until none are
+    left. It holds one of max_in_flight slots for the provider call only
+    and writes the answer to the cache after releasing it, so at most
     max_in_flight requests are in flight while writes run in parallel
     with them.
 
@@ -655,7 +661,7 @@ def run_batch(
     any provider call. Smaller batches quarantine corrupt entries and treat
     them as misses. Anything else a worker raises (a failed cache write, an
     interrupt) ends the batch: no worker sends a request after it, and the
-    caller raises it when it reaches that item.
+    caller raises it once the workers are done.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
@@ -699,56 +705,54 @@ def run_batch(
     if not misses:
         return results  # type: ignore[return-value]
 
-    slots = _Slots(max_in_flight)
+    slots = _Slots(max_in_flight, len(misses))
 
-    def complete(_task: int) -> tuple[int, CompletionResult | CompletionFailure] | None:
-        i = slots.take()
-        if i is None:
-            return None  # stopped: a worker or the caller is raising
-        digest, members = misses[i]
-        prompt = prompts[members[0]]
-        started = time.monotonic()
-        try:
-            text = provider.complete(prompt, params)
-            latency_ms = int((time.monotonic() - started) * 1000)
-        except KpeError as exc:
-            return i, CompletionFailure(
-                error_kind=type(exc).__name__,
-                message=str(exc),
-                request_digest=digest,
-                exception=exc,
-            )
-        except BaseException:
-            slots.stop()  # before the slot goes back, so no waiting worker sends
-            raise
-        finally:
-            slots.give_back()
-        if cache is not None:
+    def send() -> None:
+        """Send the misses the slots hand out, and settle each, until none are left."""
+        while (i := slots.take()) is not None:
+            digest, members = misses[i]
+            prompt = prompts[members[0]]
+            started = time.monotonic()
             try:
-                cache.put(digest, prompt, params, text)
+                text = provider.complete(prompt, params)
+                latency_ms = int((time.monotonic() - started) * 1000)
+            except KpeError as exc:
+                settle(members, CompletionFailure(
+                    error_kind=type(exc).__name__,
+                    message=str(exc),
+                    request_digest=digest,
+                    exception=exc,
+                ))
+                continue
             except BaseException:
-                slots.stop()
+                slots.stop()  # before the slot goes back, so no waiting worker sends
                 raise
-        return i, CompletionResult(
-            text=text,
-            provider_id=provider.provider_id,
-            from_cache=False,
-            latency_ms=latency_ms,
-            request_digest=digest,
-        )
+            finally:
+                slots.give_back()
+            if cache is not None:
+                try:
+                    cache.put(digest, prompt, params, text)
+                except BaseException:
+                    slots.stop()
+                    raise
+            settle(members, CompletionResult(
+                text=text,
+                provider_id=provider.provider_id,
+                from_cache=False,
+                latency_ms=latency_ms,
+                request_digest=digest,
+            ))
 
     global ThreadPoolExecutor
     if ThreadPoolExecutor is None:
         from concurrent.futures import ThreadPoolExecutor
     # One worker more than slots: it sends the next request while another
-    # worker writes its answer to the cache. Tasks are interchangeable: each
-    # sends whichever miss its slot hands out.
-    with ThreadPoolExecutor(max_workers=max_in_flight + 1) as pool:
+    # worker writes its answer to the cache.
+    workers = min(max_in_flight + 1, len(misses))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            for done in pool.map(complete, range(len(misses))):
-                if done is not None:  # None only once stopped, and a later task raises
-                    i, outcome = done
-                    settle(misses[i][1], outcome)
+            for task in [pool.submit(send) for _ in range(workers)]:
+                task.result()
         finally:
             slots.stop()
     return results  # type: ignore[return-value]

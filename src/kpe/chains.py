@@ -12,7 +12,9 @@ is recorded on its pair, never raised: a provider failure on any step
 aborts that pair; a parse failure follows the step_failure policy
 ("abort_pair" or "substitute_middle", which binds the step schema's
 middle class and flags the step record). A pair whose earlier step
-failed records no later steps.
+failed records no later steps. A parsed answer's StepRecord is built
+once and shared by every estimator that asked its prompt; a failed
+answer gets a record per estimator.
 
 A score file holds one JSON object per QualityScore, with the fields and
 JSON types that _FIELDS lists for it and for each of its steps; each key
@@ -88,7 +90,7 @@ class EstimatorKind:
         return tuple(EstimatorKind(s, self.scoring_mode) for s in ESTIMATORS[self.name].steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Full trace of one prompt round for one (system, segment) pair.
 
@@ -107,7 +109,7 @@ class StepRecord:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualityScore:
     lp: str
     system_id: str
@@ -230,29 +232,41 @@ def load_score_file(path: str | Path) -> ScoreTable:
 
 @dataclass(slots=True)
 class _Answer:
-    """One completed prompt, parsed once for every estimator that asked it."""
+    """One completed prompt, parsed and (if it parses) recorded once for every estimator."""
 
     template: PromptTemplate
     bindings: dict[str, str]  # the prompt's; its rendered text is not kept
     outcome: CompletionResult | CompletionFailure
-    ordinal: int | float | None = None
-    class_string: str | None = None
+    record: StepRecord | None = None  # set when the answer parses
     parse_error: ParseError | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.outcome, CompletionFailure):
             return
         text, schema = self.outcome.text, self.template.schema
+        class_string = None
         try:
             if schema.kind == "categorical":
-                self.ordinal = parse_categorical(text, schema)
-                self.class_string = schema.classes[self.ordinal]
+                ordinal = parse_categorical(text, schema)
+                class_string = schema.classes[ordinal]
             elif schema.kind == "stars":
-                self.ordinal = parse_stars(text, int(schema.lo), int(schema.hi))
+                ordinal = parse_stars(text, int(schema.lo), int(schema.hi))
             else:
-                self.ordinal = parse_scalar(text, schema.lo, schema.hi)
+                ordinal = parse_scalar(text, schema.lo, schema.hi)
         except ParseError as exc:
             self.parse_error = exc
+            return
+        self.record = self.new_record(response_text=text, parsed=ordinal,
+                                      parsed_class=class_string)
+
+    def new_record(self, **fields) -> StepRecord:
+        return StepRecord(
+            template_id=self.template.template_id,
+            version=self.template.version,
+            digest=self.outcome.request_digest,
+            bindings=self.bindings,
+            **fields,
+        )
 
 
 @dataclass(slots=True)
@@ -271,34 +285,26 @@ class _PairState:
     def take(self, answer: _Answer, stage: str, *, final: bool, step_failure: str,
              placeholder: str | None = None) -> None:
         """Record one round's answer under the step-failure policy."""
-        outcome = answer.outcome
-        record = dict(
-            template_id=answer.template.template_id,
-            version=answer.template.version,
-            digest=outcome.request_digest,
-            bindings=answer.bindings,
-        )
-        if isinstance(outcome, CompletionFailure):
-            error = f"{outcome.error_kind}: {outcome.message}"
-            self.steps.append(StepRecord(**record, error=error))
-            self.fail(stage, outcome.exception)
-            return
-        record["response_text"] = outcome.text
-        exc = answer.parse_error
-        if exc is None:
-            self.steps.append(StepRecord(
-                **record, parsed=answer.ordinal, parsed_class=answer.class_string
-            ))
+        record, outcome = answer.record, answer.outcome
+        if record is not None:
+            self.steps.append(record)
             if final:
-                self.ordinal = answer.ordinal
+                self.ordinal = record.parsed
             else:
-                self.answers[placeholder] = answer.class_string
+                self.answers[placeholder] = record.parsed_class
+        elif isinstance(outcome, CompletionFailure):
+            error = f"{outcome.error_kind}: {outcome.message}"
+            self.steps.append(answer.new_record(error=error))
+            self.fail(stage, outcome.exception)
         elif final or step_failure == "abort_pair":
-            self.steps.append(StepRecord(**record, error=self.fail(stage, exc)))
+            error = self.fail(stage, answer.parse_error)
+            self.steps.append(answer.new_record(response_text=outcome.text, error=error))
         else:
+            exc = answer.parse_error
             middle = answer.template.schema.middle_class
             note = f"{stage}: {type(exc).__name__}: {exc} (substituted middle class)"
-            self.steps.append(StepRecord(**record, parsed_class=middle, error=note))
+            self.steps.append(answer.new_record(response_text=outcome.text,
+                                                parsed_class=middle, error=note))
             self.answers[placeholder] = middle
 
 
@@ -366,6 +372,7 @@ def _run_plan(
                     break  # a failed step ends the chain for this pair
                 state.take(answers[(template_id, i)], stage, final=not kind.is_cot,
                            step_failure=step_failure, placeholder=placeholder)
+    del answers  # the states hold every record stage 2 needs
 
     # Stage 2: every chain's combiner, bound to its steps' parsed classes.
     pending = [

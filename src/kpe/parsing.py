@@ -24,9 +24,15 @@ from .errors import (
 from .prompting import ANSWER_ANCHORS, ResponseSchema
 
 
-# An anchor counts where it starts a word and no number comes just before it
-# on its line ("4 stars: fluent" rates; "0 to 100\nScore: 85" anchors).
-_NOT_AN_ANCHOR_RE = re.compile(r"(?:\w|\d[^\S\n]*)\Z")
+# An anchor counts where it starts a word; a `Stars:` anchor also needs no
+# number just before it on its line ("4 stars: fluent" rates, where
+# "0 to 100 Score: 85" and "1 to 5\nStars: 4" anchor).
+_WORD_BEFORE_RE = re.compile(r"\w\Z")
+_NOT_AN_ANCHOR_RE = {
+    "categorical": _WORD_BEFORE_RE,
+    "scalar": _WORD_BEFORE_RE,
+    "stars": re.compile(r"(?:\w|\d[^\S\n]*)\Z"),
+}
 
 
 def _after_anchor(text: str, kind: str) -> tuple[str, bool]:
@@ -37,14 +43,16 @@ def _after_anchor(text: str, kind: str) -> tuple[str, bool]:
     lowered, anchor = text.lower(), ANSWER_ANCHORS[kind].lower()
     pos = len(lowered)
     while (pos := lowered.rfind(anchor, 0, pos + len(anchor) - 1)) != -1:
-        if not _NOT_AN_ANCHOR_RE.search(lowered, 0, pos):
+        if not _NOT_AN_ANCHOR_RE[kind].search(lowered, 0, pos):
             return lowered[pos + len(anchor):], True
     return lowered, False
 
 
 # A negation, then an optional article, right before a label: the answer
 # rules that class out ("not a Perfect translation"), so it is not a match.
-_NEGATION_RE = re.compile(r"(?:\bnot|n't|\bfar\s+from|\banything\s+but)\s+(?:(?:a|an|the)\s+)?$")
+_NEGATION_RE = re.compile(
+    r"(?:\bnot|n't|\bfar\s+from|\banything\s+but|\bhardly|\bno\s+way)\s+(?:(?:a|an|the)\s+)?$"
+)
 
 
 def parse_categorical(text: str, schema: ResponseSchema) -> int:
@@ -58,10 +66,11 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
     goes on to name a class it rejects is read from its verdict; of two
     labels starting together, the longer wins. Without an anchor, the
     longest label anywhere wins, the earliest of equal lengths. A label
-    right after "not", "n't", "far from" or "anything but" (and maybe
-    a/an/the) is negated and never matches; if only negated labels occur,
-    that is a NoMatchError. Distinct labels matching the same best span
-    (possible only if two labels are case-variants) is an AmbiguityError.
+    right after "not", "n't", "far from", "anything but", "hardly" or
+    "no way" (and maybe a/an/the) is negated and never matches; if only
+    negated labels occur, that is a NoMatchError. Distinct labels matching
+    the same best span (possible only if two labels are case-variants) is
+    an AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")

@@ -104,7 +104,7 @@ class PromptTemplate:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenderedPrompt:
     """A fully bound prompt: the exact text sent to a provider."""
 

@@ -818,6 +818,32 @@ def test_run_batch_all_cached_opens_no_pool(tmp_path, monkeypatch):
     assert all(r.from_cache and r.latency_ms == 0 for r in results)
 
 
+def test_run_batch_submits_one_pool_task_per_worker(tmp_path, monkeypatch):
+    # each task sends misses until none are left, so the pool's bookkeeping
+    # grows with its workers, not with the batch
+    from concurrent.futures import ThreadPoolExecutor
+
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(kpe.backend, "ThreadPoolExecutor", CountingPool)
+    provider = CountingProvider()
+    prompts = [_prompt(f"q{i}") for i in range(200)]
+    results = run_batch(provider, FileCache(tmp_path / "a"), prompts, PARAMS, max_in_flight=2)
+    assert len(submitted) == 3
+    assert provider.calls == 200
+    assert [r.text for r in results] == [f"echo q{i}" for i in range(200)]
+    submitted.clear()
+    results = run_batch(CountingProvider(), FileCache(tmp_path / "b"), [_prompt("only")],
+                        PARAMS, max_in_flight=2)
+    assert len(submitted) == 1
+    assert [r.text for r in results] == ["echo only"]
+
+
 def test_warm_run_batch_hashes_each_prompt_once(tmp_path, monkeypatch):
     # a hit is verified against the request's fields, not by hashing the entry again
     cache = FileCache(tmp_path / "cache")

@@ -313,6 +313,19 @@ def test_default_estimators_share_step_prompts(toy):
     assert all(tables[name].n_parsed == 240 for name in names)
 
 
+def test_a_parsed_answer_has_one_step_record(toy):
+    # every estimator that asked a prompt appends the same record of its answer
+    names = ("prompt1_perplexity", "prompt2_token", "cot1", "cot2")
+    tables = score_estimators([EstimatorKind(name) for name in names], toy.dataset,
+                              MockProvider(fixtures=toy.fixtures), None, params=PARAMS)
+    for key, p1 in tables["prompt1_perplexity"].scores.items():
+        (step1,), (step2,) = p1.steps, tables["prompt2_token"].scores[key].steps
+        for chain in ("cot1", "cot2"):
+            steps = tables[chain].scores[key].steps
+            assert all(record.error is None for record in steps)
+            assert steps[0] is step1 and steps[1] is step2
+
+
 def test_single_pair_records_the_provider_error(identical_pair):
     dataset, mock = identical_pair
     error = TransportError("connection refused")
@@ -364,6 +377,30 @@ def test_score_file_round_trip(tmp_path, identical_pair):
     assert [s.parsed for s in reloaded.steps] == [
         s.parsed for s in original.steps
     ]
+
+
+def test_records_round_trip_through_pickle_and_copy(identical_pair):
+    # the records are slotted frozen dataclasses: no __dict__, same equality and repr
+    import copy
+    import dataclasses
+    import pickle
+
+    from kpe.backend import CompletionResult
+
+    dataset, provider = identical_pair
+    score = _score_one(EstimatorKind(name="cot1"), dataset, provider)
+    template = builtin_templates().get("kpe_perplexity")
+    prompt = render_template(template, {"target_seg": IDENTICAL})
+    result = CompletionResult("Class: Perfect translation", "mock", False, 3, "ab" * 32)
+    for record in (score, score.steps[0], prompt, result):
+        assert not hasattr(record, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert clone == record and repr(clone) == repr(record)
+            assert hash(clone) == hash(record)
+    assert dataclasses.replace(result, from_cache=True).from_cache
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        score.ordinal = 0
 
 
 def test_score_file_rejects_mixed_estimators(tmp_path):

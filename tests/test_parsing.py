@@ -169,6 +169,28 @@ def test_an_anchor_starts_a_word_and_follows_no_number():
     assert parse_stars("Rate it from 1 to 5\n  Stars: 4", 1, 5) == 4
 
 
+def test_only_the_stars_anchor_must_follow_no_number():
+    # "4 stars:" is a rating, but a number before "Score:" or "Class:" is the scale
+    assert parse_scalar("Scores range from 0 to 100 Score: 85", 0, 100) == 85.0
+    assert parse_categorical("From Bad translation to Good translation, 1 to 3 "
+                             "Class: Bad translation", CAT3) == 0
+    assert parse_stars("I would give it 4 stars: fluent and accurate.", 1, 5) == 4
+    assert parse_stars("Stars: 4 stars: fluent", 1, 5) == 4
+
+
+def test_categorical_skips_a_label_after_hardly_or_no_way():
+    with pytest.raises(NoMatchError, match="negated"):
+        parse_categorical("Class: hardly a Perfect translation", CAT5)
+    with pytest.raises(NoMatchError, match="negated"):
+        parse_categorical("Class: no way the Perfect translation", CAT5)
+    assert parse_categorical("Class: no way a Perfect translation; Some meaning preserved "
+                             "and understandable", CAT5) == 2
+    assert parse_categorical("Class: hardly Perfect translation. Most meaning preserved, "
+                             "minor issues", CAT5) == 3
+    # "No meaning preserved" starts with "no" but is a label, not "no way"
+    assert parse_categorical("Class: No meaning preserved", CAT5) == 0
+
+
 def test_parse_scalar_never_clamps():
     with pytest.raises(RangeError):
         parse_scalar("105", 0, 100)
