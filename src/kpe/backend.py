@@ -98,10 +98,8 @@ class CompletionFailure:
     exception is the provider's error itself, so a caller can re-raise it.
     """
 
-    error_kind: str
-    message: str
     request_digest: str
-    exception: KpeError | None = field(default=None, compare=False, repr=False)
+    exception: KpeError
 
 
 # digests -------------------------------------------------------------------
@@ -273,21 +271,22 @@ class FileCache:
 # http provider --------------------------------------------------------------
 
 _RETRYABLE_STATUS = {408, 429}
+_RETRY_BASE_S = 1.0
 
 
 class HttpProvider:
     """Chat-completions client with exponential backoff.
 
-    Retries transport failures, 408, 429 and 5xx up to max_attempts with
-    delays retry_base_s * 2**attempt. 401/403 raise AuthError immediately;
-    other 4xx, and an answer cut off at max_tokens (finish_reason "length"),
-    raise ProviderError. The sleep function and the session are
+    Retries transport failures, 408, 429 and 5xx up to max_attempts, the
+    delay doubling from _RETRY_BASE_S (1 s, 2 s, 4 s, ...). 401/403 raise
+    AuthError immediately; other 4xx, and an answer cut off at max_tokens
+    (finish_reason "length"), raise ProviderError. The sleep function and the session are
     injectable for tests: a session is any object with post(url, json=,
     headers=, timeout=) returning a response with .status_code and .json().
     The default is kpe.transport.KeepAliveTransport, which holds at most one
     connection per request in flight and reuses it across batches; close it
-    with provider.session.close(). OSError (which a requests exception is)
-    and http.client.HTTPException from the session are transport failures.
+    with provider.session.close(). OSError and http.client.HTTPException
+    from the session are transport failures.
     """
 
     def __init__(
@@ -296,7 +295,6 @@ class HttpProvider:
         api_key: str | None = None,
         session=None,
         sleep=time.sleep,
-        retry_base_s: float = 1.0,
         max_attempts: int = 5,
         timeout_s: float = 60.0,
     ) -> None:
@@ -309,7 +307,6 @@ class HttpProvider:
             session = KeepAliveTransport()
         self.session = session
         self.sleep = sleep
-        self.retry_base_s = retry_base_s
         self.max_attempts = max_attempts
         self.timeout_s = timeout_s
         self.provider_id = "http"
@@ -337,7 +334,7 @@ class HttpProvider:
         last_error: KpeError | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                self.sleep(self.retry_base_s * (2 ** (attempt - 1)))
+                self.sleep(_RETRY_BASE_S * (2 ** (attempt - 1)))
             with self._lock:
                 self.attempts += 1
             try:
@@ -717,12 +714,7 @@ def run_batch(
                 text = provider.complete(prompt, params)
                 latency_ms = int((time.monotonic() - started) * 1000)
             except KpeError as exc:
-                settle(members, CompletionFailure(
-                    error_kind=type(exc).__name__,
-                    message=str(exc),
-                    request_digest=digest,
-                    exception=exc,
-                ))
+                settle(members, CompletionFailure(digest, exc))
                 continue
             except BaseException:
                 slots.stop()  # before the slot goes back, so no waiting worker sends

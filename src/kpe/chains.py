@@ -92,18 +92,16 @@ class EstimatorKind:
 
 @dataclass(frozen=True, slots=True)
 class StepRecord:
-    """Full trace of one prompt round for one (system, segment) pair.
+    """One prompt round for one (system, segment) pair.
 
-    bindings are kept in memory so the digest can be re-derived by
-    re-rendering; the persisted form keeps only the fields _FIELDS lists
-    and raw responses stay in the cache, addressed by digest.
+    digest names the cache entry whose final_text re-derives it and whose
+    completion_text is the answer. A score file keeps the fields _FIELDS
+    lists; parsed_class and error are kept in memory only.
     """
 
     template_id: str
     version: int
     digest: str
-    bindings: dict[str, str] = field(default_factory=dict, compare=False)
-    response_text: str | None = None
     parsed: int | float | None = None
     parsed_class: str | None = None
     error: str | None = None
@@ -202,7 +200,7 @@ class ScoreTable:
 
 
 def load_score_file(path: str | Path) -> ScoreTable:
-    """Rebuild a ScoreTable from its JSONL form (traces lose bindings/raw text).
+    """Rebuild a ScoreTable from its JSONL form (steps lose parsed_class and error).
 
     A line that is not a score record as write_jsonl writes it is a
     FormatError naming the path and line.
@@ -235,7 +233,6 @@ class _Answer:
     """One completed prompt, parsed and (if it parses) recorded once for every estimator."""
 
     template: PromptTemplate
-    bindings: dict[str, str]  # the prompt's; its rendered text is not kept
     outcome: CompletionResult | CompletionFailure
     record: StepRecord | None = None  # set when the answer parses
     parse_error: ParseError | None = None
@@ -256,25 +253,26 @@ class _Answer:
         except ParseError as exc:
             self.parse_error = exc
             return
-        self.record = self.new_record(response_text=text, parsed=ordinal,
-                                      parsed_class=class_string)
+        self.record = self.new_record(parsed=ordinal, parsed_class=class_string)
 
     def new_record(self, **fields) -> StepRecord:
         return StepRecord(
             template_id=self.template.template_id,
             version=self.template.version,
             digest=self.outcome.request_digest,
-            bindings=self.bindings,
             **fields,
         )
 
 
 @dataclass(slots=True)
 class _PairState:
-    """One estimator's progress on one (system, segment) pair."""
+    """One estimator's progress on one (system, segment) pair.
+
+    While a chain waits for its combiner, steps holds one record per step
+    in stage order, each with the class the combiner binds.
+    """
 
     steps: list[StepRecord] = field(default_factory=list)
-    answers: dict[str, str] = field(default_factory=dict)  # combiner placeholder -> class
     error: str | None = None
     ordinal: int | float | None = None
 
@@ -282,30 +280,22 @@ class _PairState:
         self.error = f"{stage}: {type(exc).__name__}: {exc}"
         return self.error
 
-    def take(self, answer: _Answer, stage: str, *, final: bool, step_failure: str,
-             placeholder: str | None = None) -> None:
+    def take(self, answer: _Answer, stage: str, *, final: bool, step_failure: str) -> None:
         """Record one round's answer under the step-failure policy."""
         record, outcome = answer.record, answer.outcome
         if record is not None:
             self.steps.append(record)
             if final:
                 self.ordinal = record.parsed
-            else:
-                self.answers[placeholder] = record.parsed_class
         elif isinstance(outcome, CompletionFailure):
-            error = f"{outcome.error_kind}: {outcome.message}"
-            self.steps.append(answer.new_record(error=error))
-            self.fail(stage, outcome.exception)
+            self.steps.append(answer.new_record(error=self.fail(stage, outcome.exception)))
         elif final or step_failure == "abort_pair":
-            error = self.fail(stage, answer.parse_error)
-            self.steps.append(answer.new_record(response_text=outcome.text, error=error))
+            self.steps.append(answer.new_record(error=self.fail(stage, answer.parse_error)))
         else:
             exc = answer.parse_error
-            middle = answer.template.schema.middle_class
             note = f"{stage}: {type(exc).__name__}: {exc} (substituted middle class)"
-            self.steps.append(answer.new_record(response_text=outcome.text,
-                                                parsed_class=middle, error=note))
-            self.answers[placeholder] = middle
+            self.steps.append(answer.new_record(
+                parsed_class=answer.template.schema.middle_class, error=note))
 
 
 def _ask(batch, provider, cache, params, max_in_flight) -> list[_Answer]:
@@ -319,10 +309,7 @@ def _ask(batch, provider, cache, params, max_in_flight) -> list[_Answer]:
         bindings = {name: values[name] for name in template.placeholders if name in values}
         prompts.append(render_template(template, bindings))
     outcomes = run_batch(provider, cache, prompts, params, max_in_flight=max_in_flight)
-    return [
-        _Answer(item[0], prompt.bindings, outcome)
-        for item, prompt, outcome in zip(batch, prompts, outcomes)
-    ]
+    return [_Answer(item[0], outcome) for item, outcome in zip(batch, outcomes)]
 
 
 def _run_plan(
@@ -362,31 +349,34 @@ def _run_plan(
     )))
     for kind in kinds:
         rounds = [
-            (step.template_id, f"step{n}:{step.template_id}", ESTIMATORS[step.name].answer)
+            (step.template_id, f"step{n}:{step.template_id}")
             for n, step in enumerate(kind.steps or (kind,), start=1)
         ]
         for i in live:
             state = states[kind.name][i]
-            for template_id, stage, placeholder in rounds:
+            for template_id, stage in rounds:
                 if state.error is not None:
                     break  # a failed step ends the chain for this pair
                 state.take(answers[(template_id, i)], stage, final=not kind.is_cot,
-                           step_failure=step_failure, placeholder=placeholder)
+                           step_failure=step_failure)
     del answers  # the states hold every record stage 2 needs
 
     # Stage 2: every chain's combiner, bound to its steps' parsed classes.
-    pending = [
-        (kind.template, states[kind.name][i], i)
-        for kind in kinds
-        if kind.is_cot
-        for i in live
-        if states[kind.name][i].error is None
-    ]
+    pending = []
+    for kind in kinds:
+        if not kind.is_cot:
+            continue
+        names = [ESTIMATORS[step].answer for step in ESTIMATORS[kind.name].steps]
+        for i in live:
+            state = states[kind.name][i]
+            if state.error is None:
+                classes = {name: step.parsed_class for name, step in zip(names, state.steps)}
+                pending.append((kind.template, state, i, classes))
     combined = _ask(
-        [(template, outputs[i], sources[i], state.answers) for template, state, i in pending],
+        [(template, outputs[i], sources[i], classes) for template, _, i, classes in pending],
         provider, cache, params, max_in_flight,
     )
-    for (template, state, _), answer in zip(pending, combined):
+    for (template, state, _, _), answer in zip(pending, combined):
         state.take(answer, f"combine:{template.template_id}", final=True,
                    step_failure=step_failure)
     return states

@@ -51,7 +51,8 @@ def _after_anchor(text: str, kind: str) -> tuple[str, bool]:
 # A negation, then an optional article, right before a label: the answer
 # rules that class out ("not a Perfect translation"), so it is not a match.
 _NEGATION_RE = re.compile(
-    r"(?:\bnot|n't|\bfar\s+from|\banything\s+but|\bhardly|\bno\s+way)\s+(?:(?:a|an|the)\s+)?$"
+    r"(?:\bnot|n't|\bfar\s+from|\banything\s+but|\bhardly|\bno\s+way|\bby\s+no\s+means"
+    r"|\bnowhere\s+near|\bnever)\s+(?:(?:a|an|the)\s+)?$"
 )
 
 
@@ -66,11 +67,11 @@ def parse_categorical(text: str, schema: ResponseSchema) -> int:
     goes on to name a class it rejects is read from its verdict; of two
     labels starting together, the longer wins. Without an anchor, the
     longest label anywhere wins, the earliest of equal lengths. A label
-    right after "not", "n't", "far from", "anything but", "hardly" or
-    "no way" (and maybe a/an/the) is negated and never matches; if only
-    negated labels occur, that is a NoMatchError. Distinct labels matching
-    the same best span (possible only if two labels are case-variants) is
-    an AmbiguityError.
+    right after "not", "n't", "far from", "anything but", "hardly",
+    "no way", "by no means", "nowhere near" or "never" (and maybe
+    a/an/the) is negated and never matches; if only negated labels occur,
+    that is a NoMatchError. Distinct labels matching the same best span
+    (possible only if two labels are case-variants) is an AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")

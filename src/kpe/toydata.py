@@ -105,7 +105,7 @@ def _fresh_word(rng: random.Random, used: set[str]) -> str:
 
 
 def _segment_texts(
-    lp: str, lp_index: int, seg: int, errors: dict[str, set[int]], salt: int
+    lp: str, seg: int, errors: dict[str, set[int]], salt: int
 ) -> tuple[dict[str, str], dict[str, str]] | None:
     """Build (mt per system, ref per aspect) or None if a bucket missed."""
     rng = random.Random(f"{lp}:{seg}:{salt}")
@@ -157,7 +157,7 @@ def generate_toy_corpus() -> ToyCorpus:
         for seg in range(N_SEGMENTS):
             texts = None
             for salt in range(50):
-                texts = _segment_texts(lp, lp_index, seg, errors, salt)
+                texts = _segment_texts(lp, seg, errors, salt)
                 if texts is not None:
                     break
             if texts is None:

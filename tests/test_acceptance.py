@@ -30,7 +30,7 @@ from kpe.cli import main
 from kpe.corpus import RRJudgment, dataset_stats, load_rr_judgments
 from kpe.metrics import kendall_tau_rr, pairwise_accuracy, score_distribution
 from kpe.parsing import parse_categorical
-from kpe.prompting import builtin_templates, render_template
+from kpe.prompting import ESTIMATORS, builtin_templates, render_template
 from kpe.toydata import generate_toy_corpus, write_toy_corpus
 
 PARAMS = GenParams(model_id="mock-1")
@@ -304,11 +304,12 @@ def test_criterion_07_cache_idempotence(tmp_path):
 
 def test_criterion_08_chain_structure(toy):
     with criterion(8, "cot1/cot2 step counts are 3/4 and every digest re-derives"):
-        registry = builtin_templates()
+        mt_texts = {(o.lp, o.system_id, o.seg_id): o.mt_text for o in toy.dataset.outputs}
         checked_steps = 0
         for name, n_rounds in (("cot1", 3), ("cot2", 4)):
+            kind = EstimatorKind(name=name)
             table = score_dataset(
-                EstimatorKind(name=name),
+                kind,
                 toy.dataset,
                 MockProvider(fixtures=toy.fixtures),
                 None,
@@ -316,12 +317,20 @@ def test_criterion_08_chain_structure(toy):
             )
             assert table.n_errored == 0
             assert len(table.scores) == 240
-            for score in table.scores.values():
+            templates = [step.template for step in kind.steps] + [kind.template]
+            for (lp, system_id, seg_id), score in table.scores.items():
                 assert len(score.steps) == n_rounds
-                for step in score.steps:
-                    prompt = render_template(
-                        registry.get(step.template_id), step.bindings
-                    )
+                # the pair's texts and the class each step is built to answer
+                values = {
+                    "source_seg": toy.dataset.get_segment(lp, seg_id).src_text,
+                    "target_seg": mt_texts[(lp, system_id, seg_id)],
+                }
+                for step in kind.steps:
+                    ordinal = toy.expected_ordinals[(step.name, lp, system_id, seg_id)]
+                    values[ESTIMATORS[step.name].answer] = step.template.schema.classes[ordinal]
+                for template, step in zip(templates, score.steps):
+                    bindings = {k: values[k] for k in template.placeholders}
+                    prompt = render_template(template, bindings)
                     assert request_digest(prompt, PARAMS) == step.digest
                     checked_steps += 1
         assert checked_steps == 240 * 3 + 240 * 4

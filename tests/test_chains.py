@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -87,19 +88,40 @@ def test_template_routing():
 
 # single-pair estimation ----------------------------------------------------
 
-def test_one_step_trace(identical_pair):
-    score = _score_one(EstimatorKind(name="gemba"), *identical_pair)
+def _digest(template_id, **bindings):
+    """The request digest of a built-in template bound to these texts."""
+    prompt = render_template(builtin_templates().get(template_id), bindings)
+    return request_digest(prompt, PARAMS)
+
+
+# The identical pair's texts and the class each step answers for it.
+PAIR_TEXTS = {"source_seg": "quelle s1", "target_seg": IDENTICAL}
+STEP_CLASSES = {
+    "perplexity_answer": "Perfectly fluent",
+    "token_answer": "All words preserved",
+    "sentence_answer": "Identical meaning",
+}
+
+
+def test_one_step_trace(identical_pair, tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    score = _score_one(EstimatorKind(name="gemba"), *identical_pair, cache)
     assert score.ordinal == 4
     assert len(score.steps) == 1
     step = score.steps[0]
     assert step.template_id == "gemba_classify"
     assert step.parsed_class == "Perfect translation"
-    assert step.response_text == "Class: Perfect translation"
+    # the raw answer is the cache entry that the step's digest names
+    assert step.digest == _digest("gemba_classify", **PAIR_TEXTS)
+    entry = cache.cache_dir / step.digest[:2] / f"{step.digest}.json"
+    assert json.loads(entry.read_text(encoding="utf-8"))["completion_text"] == (
+        "Class: Perfect translation"
+    )
 
 
 def test_perplexity_binds_translation_only(identical_pair):
     score = _score_one(EstimatorKind(name="prompt1_perplexity"), *identical_pair)
-    assert set(score.steps[0].bindings) == {"target_seg"}
+    assert score.steps[0].digest == _digest("kpe_perplexity", target_seg=IDENTICAL)
 
 
 def test_cot1_trace_structure(identical_pair):
@@ -110,29 +132,29 @@ def test_cot1_trace_structure(identical_pair):
         "kpe_token_sim",
         "kpe_cot1_combine",
     ]
-    combine = score.steps[-1]
     # the combiner receives the parsed class labels of the earlier steps
-    assert combine.bindings["perplexity_answer"] == "Perfectly fluent"
-    assert combine.bindings["token_answer"] == "All words preserved"
-    assert "Perfectly fluent" in _rerender(combine).final_text
+    bindings = dict(PAIR_TEXTS, perplexity_answer="Perfectly fluent",
+                    token_answer="All words preserved")
+    assert score.steps[-1].digest == _digest("kpe_cot1_combine", **bindings)
+    template = builtin_templates().get("kpe_cot1_combine")
+    assert "Perfectly fluent" in render_template(template, bindings).final_text
 
 
 def test_cot2_trace_structure(identical_pair):
     score = _score_one(EstimatorKind(name="cot2"), *identical_pair)
     assert score.ordinal == 4
     assert len(score.steps) == 4
-    assert score.steps[-1].bindings["sentence_answer"] == "Identical meaning"
-
-
-def _rerender(step):
-    template = builtin_templates().get(step.template_id)
-    return render_template(template, step.bindings)
+    assert score.steps[-1].digest == _digest("kpe_cot2_combine", **PAIR_TEXTS, **STEP_CLASSES)
 
 
 def test_step_digests_rederivable(identical_pair):
     score = _score_one(EstimatorKind(name="cot2"), *identical_pair)
-    for step in score.steps:
-        assert request_digest(_rerender(step), PARAMS) == step.digest
+    assert [step.digest for step in score.steps] == [
+        _digest("kpe_perplexity", target_seg=IDENTICAL),
+        _digest("kpe_token_sim", **PAIR_TEXTS),
+        _digest("kpe_sent_sim", **PAIR_TEXTS),
+        _digest("kpe_cot2_combine", **PAIR_TEXTS, **STEP_CLASSES),
+    ]
 
 
 def test_one_pair_corrupt_cache_entry_is_asked_again(identical_pair, tmp_path):
@@ -401,6 +423,22 @@ def test_records_round_trip_through_pickle_and_copy(identical_pair):
     assert dataclasses.replace(result, from_cache=True).from_cache
     with pytest.raises(dataclasses.FrozenInstanceError):
         score.ordinal = 0
+
+
+def test_each_answer_fact_has_one_field():
+    # A step record persists the fields _FIELDS lists and keeps two more in
+    # memory; the prompt and the answer live in the cache entry its digest
+    # names, and a failure's error name and message in its exception. A field
+    # added to either class must be added here on purpose.
+    import dataclasses
+
+    from kpe.backend import CompletionFailure
+    from kpe.chains import _FIELDS
+
+    step_fields = {f.name for f in dataclasses.fields(StepRecord)}
+    assert step_fields - set(_FIELDS[StepRecord]) == {"parsed_class", "error"}
+    assert {f.name for f in dataclasses.fields(CompletionFailure)} == {
+        "request_digest", "exception"}
 
 
 def test_score_file_rejects_mixed_estimators(tmp_path):

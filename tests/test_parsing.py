@@ -187,6 +187,9 @@ def test_categorical_skips_a_label_after_hardly_or_no_way():
                              "and understandable", CAT5) == 2
     assert parse_categorical("Class: hardly Perfect translation. Most meaning preserved, "
                              "minor issues", CAT5) == 3
+    for negation in ("by no means a", "nowhere near a", "never a"):
+        assert parse_categorical(f"Class: {negation} Perfect translation; Some meaning "
+                                 "preserved and understandable", CAT5) == 2
     # "No meaning preserved" starts with "no" but is a label, not "no way"
     assert parse_categorical("Class: No meaning preserved", CAT5) == 0
 
