@@ -16,6 +16,7 @@ exact score as hover text.
 from __future__ import annotations
 
 import logging
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from html import escape
@@ -142,10 +143,11 @@ def _parse_matrix_text(
         for jcol, part in enumerate(parts):
             cell = part.strip().rstrip("%").strip()
             try:
-                value = float(cell)
+                value = float(cell) / 100.0
             except ValueError:
-                raise ValueParseError(i, jcol, part.strip()) from None
-            value /= 100.0
+                value = math.nan
+            if not math.isfinite(value):  # "nan" and "inf" parse as floats, not as cells
+                raise ValueParseError(i, jcol, part.strip())
             if value < 0.0:
                 value = 0.0
                 clamped += 1

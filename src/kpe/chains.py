@@ -43,6 +43,7 @@ from .parsing import parse_categorical, parse_scalar, parse_stars
 from .prompting import (
     ESTIMATORS,
     PromptTemplate,
+    ResponseSchema,
     builtin_templates,
     render_template,
 )
@@ -199,11 +200,22 @@ class ScoreTable:
                 fh.write("\n")
 
 
+def _is_answer(value: int | float | None, schema: ResponseSchema) -> bool:
+    """Whether value is no score or one that schema's parser can return."""
+    if value is None:
+        return True
+    if schema.kind == "categorical":
+        return type(value) is int and 0 <= value < len(schema.classes)
+    return schema.lo <= value <= schema.hi and (schema.kind == "scalar" or type(value) is int)
+
+
 def load_score_file(path: str | Path) -> ScoreTable:
     """Rebuild a ScoreTable from its JSONL form (steps lose parsed_class and error).
 
-    A line that is not a score record as write_jsonl writes it is a
-    FormatError naming the path and line.
+    A line that is not a score record as write_jsonl writes it, or whose
+    ordinal is no answer the estimator's parser returns (a class index, a
+    whole star or a finite scalar in range), is a FormatError naming the
+    path and line.
     """
     scores: dict[tuple[str, str, str], QualityScore] = {}
     estimator: EstimatorKind | None = None
@@ -219,9 +231,12 @@ def load_score_file(path: str | Path) -> ScoreTable:
             except (TypeError, ValueError, InputError) as exc:
                 raise FormatError(str(path), line_no, f"not a score record: {exc}") from exc
             if estimator is None:
-                estimator = kind
+                estimator, schema = kind, kind.template.schema
             elif estimator != kind:
                 raise InputError(f"{path}: mixed estimators in one score file")
+            if not _is_answer(score.ordinal, schema):
+                raise FormatError(str(path), line_no,
+                                  f"ordinal {score.ordinal!r} is not a {kind.scoring_mode} answer")
             scores[(score.lp, score.system_id, score.seg_id)] = score
     if estimator is None:
         raise InputError(f"{path}: empty score file")

@@ -2,12 +2,13 @@
 
 All parsers are pure functions of their text argument and return the
 number itself: parse_categorical the class index (0 = worst; the label is
-schema.classes[i]), parse_stars an int and parse_scalar a float. Each
-reads only the text after the last answer anchor of its kind
-(prompting.ANSWER_ANCHORS: `Class:`, `Stars:`, `Score:`), or the whole
-answer if it has none; "4 stars:" or "superstars:" is not an anchor. They
-never clamp: an out-of-range number is a RangeError so degradation stays
-visible.
+schema.classes[i]), parse_stars an int and parse_scalar a float. All three
+keep one rule: after the last answer anchor of their kind
+(prompting.ANSWER_ANCHORS: `Class:`, `Stars:`, `Score:`; "4 stars:" or
+"superstars:" is not one), or over the whole answer if it has none, the
+leftmost answer wins. A label negated in its own clause is no answer, nor is
+either end of a range. They never clamp: an out-of-range number is a
+RangeError so degradation stays visible.
 """
 
 from __future__ import annotations
@@ -35,124 +36,120 @@ _NOT_AN_ANCHOR_RE = {
 }
 
 
-def _after_anchor(text: str, kind: str) -> tuple[str, bool]:
-    """The lowercased text after the last anchor of kind, and whether there was one.
-
-    With no anchor the text is all of the answer.
-    """
+def _after_anchor(text: str, kind: str) -> str:
+    """The lowercased text after the last anchor of kind, or all of it if there is none."""
     lowered, anchor = text.lower(), ANSWER_ANCHORS[kind].lower()
     pos = len(lowered)
     while (pos := lowered.rfind(anchor, 0, pos + len(anchor) - 1)) != -1:
         if not _NOT_AN_ANCHOR_RE[kind].search(lowered, 0, pos):
-            return lowered[pos + len(anchor):], True
-    return lowered, False
+            return lowered[pos + len(anchor):]
+    return lowered
 
 
-# A negation, then an optional article, right before a label: the answer
-# rules that class out ("not a Perfect translation"), so it is not a match.
-_NEGATION_RE = re.compile(
-    r"(?:\bnot|n't|\bfar\s+from|\banything\s+but|\bhardly|\bno\s+way|\bby\s+no\s+means"
-    r"|\bnowhere\s+near|\bnever)\s+(?:(?:a|an|the)\s+)?$"
+# A label's clause starts after the last ";", ":", "." or comma before a
+# conjunction ahead of it; a negator earlier in that clause rules the label out.
+_CLAUSES_RE = re.compile(
+    r"(?s:.*(?:[;:.]|,\s*(?:and|but|or|nor|yet|so|although|though|while|whereas)\b))?"
 )
+_NEGATOR_RE = re.compile(
+    r"\b(?:not|no|never|hardly|nothing|nowhere|rather|instead|far\s+from|anything\s+but)\b"
+    r"|n['’]t\b"
+)
+
+
+def _negated(lowered: str, pos: int) -> bool:
+    """Whether a negator comes before pos in the clause that holds it."""
+    start = _CLAUSES_RE.match(lowered, 0, pos).end()
+    return _NEGATOR_RE.search(lowered, start, pos) is not None
 
 
 def parse_categorical(text: str, schema: ResponseSchema) -> int:
     """Return the index of the class label a response names.
 
-    Case-insensitive substring search; punctuation or quotes around the
-    label do not matter because matching is positional. If the response
-    has a `Class:` anchor, only the text after the last one is searched, so
-    an answer that first echoes the class list is read from its verdict.
-    After an anchor, the label that starts first wins, so an answer that
-    goes on to name a class it rejects is read from its verdict; of two
-    labels starting together, the longer wins. Without an anchor, the
-    longest label anywhere wins, the earliest of equal lengths. A label
-    right after "not", "n't", "far from", "anything but", "hardly",
-    "no way", "by no means", "nowhere near" or "never" (and maybe
-    a/an/the) is negated and never matches; if only negated labels occur,
-    that is a NoMatchError. Distinct labels matching the same best span
-    (possible only if two labels are case-variants) is an AmbiguityError.
+    Case-insensitive substring search under the module's rule: after the
+    last `Class:` anchor, the first label wins, and of two starting together
+    the longer. A label is skipped when a negator comes before it in its own
+    clause: "Class: rather than a Perfect translation; Good translation"
+    reads Good translation. If every label found is negated, that is a
+    NoMatchError; distinct labels on one span (case-variants only) are an
+    AmbiguityError.
     """
     if schema.kind != "categorical":
         raise ValueError("parse_categorical needs a categorical schema")
-    lowered, anchored = _after_anchor(text, "categorical")
-    # (pos, -len, class index) after an anchor, else (-len, pos, class index)
-    best: tuple[int, int, int] | None = None
-    negated = False
+    lowered = _after_anchor(text, "categorical")
+    found: list[tuple[int, int, int]] = []  # (pos, -len, class index) of each match
     for idx, label in enumerate(schema.classes):
         needle = label.lower()
         pos = lowered.find(needle)
         while pos != -1:
-            cand = (pos, -len(needle), idx) if anchored else (-len(needle), pos, idx)
-            if _NEGATION_RE.search(lowered, 0, pos):
-                negated = True
-            elif best is None or cand[:2] < best[:2]:
-                best = cand
-            elif cand[:2] == best[:2] and cand[2] != best[2]:
-                raise AmbiguityError(
-                    f"labels {schema.classes[best[2]]!r} and {label!r} "
-                    f"both match at position {pos}"
-                )
+            found.append((pos, -len(needle), idx))
             pos = lowered.find(needle, pos + 1)
-    if best is None:
-        if negated:
-            raise NoMatchError(f"the only class labels in {text!r} are negated")
-        raise NoMatchError(f"no class label found in {text!r}")
-    return best[2]
+    found.sort()
+    for n, (pos, length, idx) in enumerate(found):
+        if _negated(lowered, pos):
+            continue
+        if n + 1 < len(found) and found[n + 1][:2] == (pos, length):
+            raise AmbiguityError(
+                f"labels {schema.classes[idx]!r} and {schema.classes[found[n + 1][2]]!r} "
+                f"both match at position {pos}"
+            )
+        return idx
+    if found:
+        raise NoMatchError(f"the only class labels in {text!r} are negated")
+    raise NoMatchError(f"no class label found in {text!r}")
 
 
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
-
-
-def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
-    """Parse the first decimal number after the anchor; outside [lo, hi] is a RangeError."""
-    m = _NUMBER_RE.search(_after_anchor(text, "scalar")[0])
-    if not m:
-        raise NoNumberError(f"no number found in {text!r}")
-    value = float(m.group(0))
-    if not lo <= value <= hi:
-        raise RangeError(f"{value} outside [{lo}, {hi}]")
-    return value
-
-
-# The star-rating forms in order of rank; m.lastindex is the form's rank.
-_STARS_RE = re.compile(
-    r"(★+)"  # 1: glyphs
-    r"|(-?\d+)\s*\(?\s*(?:/|out\s+of)\s*(\d+)"  # 3: N/M or N out of M
-    r"|(-?\d+)\s*stars?\b"  # 4: N stars
-    r"|(-?\d+)"  # 5: a bare N
+# A rating is star glyphs or a number with an optional "/M", "of M" or "out
+# of M" scale. At each start a range, with its scale, is tried first, so
+# neither of its ends nor its scale is read as a rating.
+_NUM = r"-?\d+(?:\.\d+)?(?:e[+-]?\d+)?"
+_OF = r"\s*\(?\s*(?:/|(?:out\s+)?of)\s*"
+_RATING_RE = re.compile(
+    rf"(?:\bbetween\s+{_NUM}\s+and\s+|{_NUM}\s*(?:-|to\b)\s*){_NUM}(?:{_OF}{_NUM})?"
+    rf"|(★+)|({_NUM})(?:{_OF}({_NUM}))?"
 )
 
 
-def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
-    """Parse a star rating: star glyphs, "N/hi" or "N out of hi", "N stars", or a bare N.
+def _rating(text: str, kind: str, lo: float, hi: float) -> float:
+    """The leftmost rating after the anchor of kind, in [lo, hi].
 
-    As in parse_categorical, a response with a `Stars:` anchor is read only
-    after the last one, and there the leftmost rating wins ("Stars: 3. Not
-    5 stars." reads 3). At one start the forms rank in the order above, and
-    an "N out of M" takes its N with it, so "4 out of 5 stars" reads 4, not
-    the scale's 5. Without an anchor, the highest-ranked form anywhere wins,
-    the earliest of one form. An "N/M" or "N out of M" whose M is not hi is
-    a RangeError: it rates on another scale.
+    An M other than hi rates on another scale, a RangeError. Ranges with no
+    rating are an AmbiguityError.
     """
-    tail, anchored = _after_anchor(text, "stars")
-    matches = _STARS_RE.finditer(tail)
-    if anchored:
-        m = next(matches, None)
-    else:
-        m = min(matches, key=lambda m: m.lastindex, default=None)
-    if m is None:
+    ranged = False
+    for m in _RATING_RE.finditer(_after_anchor(text, kind)):
+        glyphs, number, scale = m.groups()
+        if not (glyphs or number):
+            ranged = True
+            continue
+        value = float(len(glyphs) if glyphs else number)
+        if scale is not None and float(scale) != hi:
+            raise RangeError(f"{number} out of {scale} is not a rating out of {hi}")
+        if not lo <= value <= hi:
+            raise RangeError(f"{m.group()} outside [{lo}, {hi}]")
+        return value
+    if ranged:
+        raise AmbiguityError(f"{text!r} gives a range, not a rating")
+    if kind == "stars":
         raise NoMatchError(f"no star rating found in {text!r}")
-    glyphs, n_of, scale, n_stars, bare = m.groups()
-    if glyphs:
-        value = len(glyphs)
-    else:
-        value = int(n_of or n_stars or bare)
-        if scale is not None and int(scale) != hi:
-            raise RangeError(f"{value} out of {scale} is not a rating out of {hi} stars")
-    if not lo <= value <= hi:
-        raise RangeError(f"{value} stars outside [{lo}, {hi}]")
-    return value
+    raise NoNumberError(f"no number found in {text!r}")
+
+
+def parse_scalar(text: str, lo: float = 0.0, hi: float = 100.0) -> float:
+    """Parse the leftmost number after `Score:`, not a range; "8.5/10" of 100 is a RangeError."""
+    return _rating(text, "scalar", lo, hi)
+
+
+def parse_stars(text: str, lo: int = 1, hi: int = 5) -> int:
+    """Parse a star rating: star glyphs, "N/hi", "N of hi", "N out of hi" or a bare N.
+
+    "4 out of 5 stars" reads 4, and "On a 1-5 scale, 4 stars" skips the
+    range; a fractional count of stars is a RangeError.
+    """
+    value = _rating(text, "stars", lo, hi)
+    if not value.is_integer():
+        raise RangeError(f"{value} is not a whole number of stars")
+    return int(value)
 
 
 def category_to_ordinal(class_string: str, schema: ResponseSchema) -> int:

@@ -225,6 +225,25 @@ def test_align_pairs_failures_stay_in_their_slots():
     assert [results[0], results[6]] == expected
 
 
+def test_align_pairs_a_non_finite_cell_fails_only_its_pair():
+    # float() reads "nan" and "inf"; as cells they are as unparseable as "lots"
+    class NonFinite(MockProvider):
+        def complete(self, prompt, params):
+            source = prompt.bindings["source_seg"]
+            for word, cell in (("nan", "nan"), ("inf", "-inf")):
+                if word in source:
+                    return f"{cell}, 5\n3, 4"
+            return super().complete(prompt, params)
+
+    pairs = [_pair("nan here", "nan there"), _pair("inf here", "inf there"),
+             _pair("he came .", "he arrived .")]
+    results = align_pairs(pairs, NonFinite(), params=PARAMS)
+    for result in results[:2]:
+        assert isinstance(result, ValueParseError)
+        assert (result.row, result.col) == (0, 0)
+    assert results[2] == align_pairs([pairs[2]], MockProvider(), params=PARAMS)[0]
+
+
 def test_greedy_alignment_prefers_lowest_source_index_on_tie():
     matrix = AlignmentMatrix(
         src_tokens=("a", "b", "c"),

@@ -15,7 +15,7 @@ from kpe.chains import (
     score_estimators,
 )
 from kpe.corpus import EvalDataset, Segment, SystemOutput
-from kpe.errors import InputError, TransportError
+from kpe.errors import FormatError, InputError, TransportError
 from kpe.prompting import ESTIMATORS, builtin_templates, render_template
 
 PARAMS = GenParams(model_id="mock-1")
@@ -493,6 +493,25 @@ def test_score_file_written_earlier_loads_as_before(tmp_path):
     # and it is written back byte for byte
     table.write_jsonl(tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_text(encoding="utf-8") == EARLIER_SCORE_FILE
+
+
+@pytest.mark.parametrize("mode, ordinal", [
+    ("cat5", "7"), ("cat5", "NaN"), ("cat5", "2.0"), ("cat5", "-1"), ("cat3", "3"),
+    ("stars", "4.5"), ("stars", "0"), ("stars", "6"),
+    ("scalar", "100.5"), ("scalar", "NaN"), ("scalar", "-Infinity"),
+])
+def test_score_file_rejects_an_ordinal_no_parser_returns(tmp_path, mode, ordinal):
+    # the first line holds the top answer of the mode, the second one outside it
+    top = {"cat5": "4", "cat3": "2", "stars": "5", "scalar": "100.0"}[mode]
+    line = ('{"error": null, "estimator": "gemba", "lp": "de-en", "mode": "%s", '
+            '"ordinal": %s, "seg_id": "%s", "steps": [], "system_id": "sysA"}\n')
+    path = tmp_path / "scores_gemba.jsonl"
+    path.write_text(line % (mode, top, "s1") + line % (mode, ordinal, "s2"), encoding="utf-8")
+    with pytest.raises(FormatError, match="not a .* answer") as err:
+        load_score_file(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
+    path.write_text(line % (mode, top, "s1"), encoding="utf-8")
+    assert load_score_file(path).get("de-en", "sysA", "s1").ordinal == json.loads(top)
 
 
 def test_score_file_rejects_empty(tmp_path):

@@ -152,8 +152,8 @@ def test_parse_scalar_reads_after_the_last_score_anchor():
     assert parse_scalar("score: 10. SCORE: 72.5", 0, 100) == 72.5
     with pytest.raises(NoNumberError):
         parse_scalar("From 0 to 100. Score: unsure", 0, 100)
-    # without an anchor the first number is still read
-    assert parse_scalar("On a scale from 0 to 100, 85.", 0, 100) == 0.0
+    # without an anchor the whole answer is read, and a range is not a rating
+    assert parse_scalar("On a scale from 0 to 100, 85.", 0, 100) == 85.0
 
 
 def test_an_anchor_starts_a_word_and_follows_no_number():
@@ -243,8 +243,40 @@ def test_parse_stars_reads_the_leftmost_rating_after_the_anchor():
     assert parse_stars("Stars: 4 stars", 1, 5) == 4
     with pytest.raises(RangeError):
         parse_stars("Stars: 3 out of 10, or 2 stars", 1, 5)
-    # without an anchor the forms keep their order over the whole answer
+    # without an anchor the whole answer is read, and a range is not a rating
     assert parse_stars("On a 1-5 scale, 4 stars", 1, 5) == 4
+
+
+def _parse_cat5(text: str) -> int:
+    return parse_categorical(text, CAT5)
+
+
+# Answers that each read as a wrong score before one rule read every parser:
+# after the last anchor, or over the whole answer, the leftmost answer wins.
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_stars, "2 of 5 stars", 2),
+    (parse_stars, "4.5 stars", RangeError),
+    (parse_stars, "Stars: 4.5", RangeError),
+    (parse_stars, "Stars: 3.5/5", RangeError),
+    (parse_scalar, "Score: 8.5/10", RangeError),
+    (parse_scalar, "Score: 1e2", 100.0),
+    (parse_scalar, "Score: between 70 and 80", AmbiguityError),
+    (parse_scalar, "On a scale from 0 to 100, the score is 85.", 85.0),
+    (parse_scalar, "Score: 8-9/10", AmbiguityError),
+    (parse_scalar, "Score: 70 to 80", AmbiguityError),
+    (parse_stars, "Stars: 3 to 4, say 4", 4),
+    *((_parse_cat5, f"Class: {negation} Perfect translation; Some meaning preserved "
+                    "and understandable", 2)
+      for negation in ("isn't remotely a", "nothing like a", "not even close to a",
+                       "rather than a", "instead of a")),
+])
+def test_the_leftmost_answer_after_the_anchor_wins(parse, text, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            parse(text)
+    else:
+        got = parse(text)
+        assert got == expected and type(got) is type(expected)
 
 
 def test_star_glyphs_win_over_digits():
@@ -256,7 +288,8 @@ def test_star_glyphs_win_over_digits():
 _PIECES = st.sampled_from([
     "Class:", "class :", "CLASS", "Stars:", "stars", "Score:", "score", " ", "\n", ".", ",",
     "not ", "n't ", "far from ", "anything but ", "a ", "the ", "★", "★★", "/", "/5",
-    " out of ", "5", "4", "-1", "0", "100", "3.5", "1e3",
+    " out of ", "5", "4", "-1", "0", "100", "3.5", "1e3", "1e999", "from ", " to ",
+    "between ", " and ", " of ", "isn't ", "nothing like ", "rather than ", ";", ":",
     *dict.fromkeys(label for schema in CATEGORICAL for label in schema.classes),
 ])
 _ANSWERS = st.lists(st.one_of(_PIECES, st.text(max_size=6)), max_size=12).map("".join)
