@@ -18,14 +18,19 @@ quarantined and treated as a miss. A fully cached run loads neither
 concurrent.futures nor logging: the thread pool is imported for the first
 batch with a miss, logging for the first quarantine.
 
-`run_batch` sends misses in input order from at most max_in_flight + 1
-worker threads. The pool holds one task per worker, and each worker sends
-misses until none are left. A worker holds one of max_in_flight slots
-only while the provider call runs. It writes the answer to the cache
-after letting its slot go, so another worker's request goes out during
-the write, while the provider never sees more than max_in_flight requests
-(or, over the keep-alive transport, connections) at once. Once a worker
-raises, or the caller leaves the batch, no worker sends another request.
+`run_batch` reads its prompts by index from any sequence, so a caller can
+render each prompt when it is read and no batch holds every prompt text at
+once. One pass reads each item, digests it, coalesces it with its
+duplicates and looks it up in the cache while it is alive; the worker that
+sends a miss reads that item once more. Misses go out in input order from
+at most max_in_flight + 1 worker threads. The pool holds one task per
+worker, and each worker sends misses until none are left. A worker holds
+one of max_in_flight slots only while the provider call runs. It writes
+the answer to the cache after letting its slot go, so another worker's
+request goes out during the write, while the provider never sees more
+than max_in_flight requests (or, over the keep-alive transport,
+connections) at once. Once a worker raises, or the caller leaves the
+batch, no worker sends another request.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import tempfile
 import threading
 import time
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -634,18 +640,21 @@ class _Slots:
 def run_batch(
     provider,
     cache: FileCache | None,
-    prompts: list[RenderedPrompt],
+    prompts: Sequence[RenderedPrompt],
     params: GenParams,
     max_in_flight: int = 4,
 ) -> list[CompletionResult | CompletionFailure]:
     """Complete many prompts; results come back in input order.
 
-    Each prompt is digested once and identical requests are coalesced: the
-    first of a duplicate group is looked up or sent, the rest are reported
-    as cache hits with latency 0. Cache lookups run inline in the calling
-    thread, so a fully cached batch never opens a thread pool; only misses
-    go to the provider, through a pool that holds one task per worker, at
-    most max_in_flight + 1 of them. Each worker sends misses until none are
+    prompts needs only len() and indexing, so a caller can render each
+    prompt when it is read. Each item is read once in input order, digested
+    and looked up while it is alive; a miss is read once more by the worker
+    that sends it. Identical requests are coalesced: the first of a
+    duplicate group is looked up or sent, the rest are reported as cache
+    hits with latency 0. Cache lookups run inline in the calling thread, so
+    a fully cached batch never opens a thread pool; only misses go to the
+    provider, through a pool that holds one task per worker, at most
+    max_in_flight + 1 of them. Each worker sends misses until none are
     left. It holds one of max_in_flight slots for the provider call only
     and writes the answer to the cache after releasing it, so at most
     max_in_flight requests are in flight while writes run in parallel
@@ -665,10 +674,6 @@ def run_batch(
     n = len(prompts)
     if n == 0:
         return []
-    groups: dict[str, list[int]] = {}
-    for i, prompt in enumerate(prompts):
-        groups.setdefault(request_digest(prompt, params), []).append(i)
-
     results: list[CompletionResult | CompletionFailure | None] = [None] * n
 
     def settle(members: list[int], outcome: CompletionResult | CompletionFailure) -> None:
@@ -680,25 +685,39 @@ def run_batch(
         for extra in members[1:]:
             results[extra] = outcome
 
+    # One pass: each prompt is read, digested and looked up while it is alive.
+    # Hits are settled after the pass, since a later duplicate can still join
+    # a group.
+    groups: dict[str, list[int]] = {}
+    hits: list[tuple[str, list[int], str]] = []
     misses: list[tuple[str, list[int]]] = []
     corruption_base = cache.corruptions if cache is not None else 0
-    for digest, members in groups.items():
-        text = cache.get(digest, prompts[members[0]], params) if cache is not None else None
+    for i in range(n):
+        prompt = prompts[i]
+        digest = request_digest(prompt, params)
+        members = groups.get(digest)
+        if members is not None:
+            members.append(i)
+            continue
+        groups[digest] = members = [i]
+        text = cache.get(digest, prompt, params) if cache is not None else None
         if text is None:
             misses.append((digest, members))
         else:
-            settle(members, CompletionResult(
-                text=text,
-                provider_id=provider.provider_id,
-                from_cache=True,
-                latency_ms=0,
-                request_digest=digest,
-            ))
+            hits.append((digest, members, text))
     if cache is not None and n >= STORM_MIN_BATCH:
         if (cache.corruptions - corruption_base) * 2 > n:
             raise CacheCorruptionError(
                 f"cache corruption storm: more than half of {n} items hit corrupt entries"
             )
+    for digest, members, text in hits:
+        settle(members, CompletionResult(
+            text=text,
+            provider_id=provider.provider_id,
+            from_cache=True,
+            latency_ms=0,
+            request_digest=digest,
+        ))
     if not misses:
         return results  # type: ignore[return-value]
 

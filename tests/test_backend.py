@@ -883,6 +883,50 @@ def test_run_batch_mixed_hits_misses_and_duplicates(tmp_path):
     assert results[0].latency_ms >= 40
 
 
+class _ReadCounting:
+    """A prompt sequence that counts how often each item is read."""
+
+    def __init__(self, texts):
+        self.texts = texts
+        self.reads = [0] * len(texts)
+
+    def __len__(self):
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        prompt = _prompt(self.texts[i])
+        self.reads[i] += 1
+        return prompt
+
+
+def test_run_batch_reads_each_item_once_and_each_miss_again(tmp_path):
+    # one pass reads, digests and looks up each item; a group is looked up
+    # once, by its first member, even when that entry is corrupt, and a
+    # duplicate that follows a hit settles as a hit; the worker that sends a
+    # miss reads it again
+    looked_up = []
+
+    class RecordingCache(FileCache):
+        def get(self, digest, prompt, params):
+            looked_up.append(prompt.final_text)
+            return super().get(digest, prompt, params)
+
+    cache = RecordingCache(tmp_path / "cache")
+    run_batch(CountingProvider(), cache, [_prompt("hit")], PARAMS)
+    _corrupt(cache, _prompt("bad"))
+    looked_up.clear()
+    provider = CountingProvider()
+    prompts = _ReadCounting(["hit", "bad", "hit", "bad", "new", "hit"])
+    results = run_batch(provider, cache, prompts, PARAMS, max_in_flight=2)
+    assert looked_up == ["hit", "bad", "new"]
+    assert cache.corruptions == 1
+    assert sorted(provider.seen) == ["bad", "new"]
+    assert prompts.reads == [1, 2, 1, 1, 2, 1]
+    assert [r.text for r in results] == [f"echo {t}" for t in prompts.texts]
+    assert [r.from_cache for r in results] == [True, False, True, True, False, True]
+    assert all(results[i].latency_ms == 0 for i in (0, 2, 3, 5))
+
+
 def test_run_batch_digests_each_prompt_once(tmp_path, monkeypatch):
     calls = []
     original = kpe.backend.request_digest

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 
 import pytest
 
+import kpe.chains
 from kpe.backend import FileCache, GenParams, MockFixtures, MockProvider, request_digest
 from kpe.chains import (
     EstimatorKind,
@@ -16,7 +18,7 @@ from kpe.chains import (
 )
 from kpe.corpus import EvalDataset, Segment, SystemOutput
 from kpe.errors import FormatError, InputError, TransportError
-from kpe.prompting import ESTIMATORS, builtin_templates, render_template
+from kpe.prompting import ESTIMATORS, RenderedPrompt, builtin_templates, render_template
 
 PARAMS = GenParams(model_id="mock-1")
 
@@ -335,6 +337,77 @@ def test_default_estimators_share_step_prompts(toy):
     assert all(tables[name].n_parsed == 240 for name in names)
 
 
+DEFAULT_ESTIMATORS = ("prompt1_perplexity", "prompt2_token", "prompt3_sentence", "cot1", "cot2")
+
+
+def _tiles(toy, n: int):
+    """n copies of the toy corpus with fresh segment ids and texts, so no prompt repeats."""
+    def seg(k, seg_id):
+        return f"t{k}-{seg_id}"
+
+    def text(k, value):
+        return f"{value} ~{k}"
+
+    segments = [Segment(s.lp, seg(k, s.seg_id), text(k, s.src_text))
+                for k in range(n) for s in toy.dataset.segments]
+    outputs = [SystemOutput(o.lp, o.system_id, seg(k, o.seg_id), text(k, o.mt_text))
+               for k in range(n) for o in toy.dataset.outputs]
+    dataset = EvalDataset.build(segments, outputs, [])
+
+    def refs(mapping):
+        return {(lp, seg(k, seg_id)): text(k, ref)
+                for k in range(n) for (lp, seg_id), ref in mapping.items()}
+
+    aspect_refs = {aspect: refs(m) for aspect, m in toy.fixtures.aspect_refs.items()}
+    return dataset, MockFixtures.from_dataset(dataset, refs(toy.fixtures.refs), aspect_refs)
+
+
+class _WeakPrompt(RenderedPrompt):
+    """A rendered prompt a weak reference can follow: the subclass has no __slots__."""
+
+
+class _LivePrompts:
+    """Counts the plan's renders and the most rendered prompts alive at once."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.renders = self.peak = 0
+        self._live = weakref.WeakSet()
+        self._lock = threading.Lock()
+        monkeypatch.setattr(kpe.chains, "render_template", self.render)
+
+    def render(self, template, bindings):
+        p = render_template(template, bindings)
+        prompt = _WeakPrompt(p.template_id, p.version, p.final_text, p.bindings)
+        with self._lock:
+            self.renders += 1
+            self._live.add(prompt)
+            self.peak = max(self.peak, len(self._live))
+        return prompt
+
+
+@pytest.mark.parametrize("tiles", [1, 4])
+def test_a_stage_holds_few_rendered_prompts(toy, tmp_path, monkeypatch, tiles):
+    # a prompt is rendered when run_batch reads it and dropped after its
+    # lookup, or after its send and cache write, so the number alive at once
+    # does not grow with the stage (720 step prompts per tile)
+    dataset, fixtures = _tiles(toy, tiles)
+    kinds = [EstimatorKind(name) for name in DEFAULT_ESTIMATORS]
+    provider, cache = MockProvider(fixtures=fixtures), FileCache(tmp_path / "cache")
+    cold = _LivePrompts(monkeypatch)
+    tables = score_estimators(kinds, dataset, provider, cache, params=PARAMS, max_in_flight=2)
+    assert all(table.n_parsed == 240 * tiles for table in tables.values())
+    # every item is read once and every miss once more; no prompt repeats
+    assert provider.calls == 1200 * tiles
+    assert cold.renders == 2 * provider.calls
+    assert cold.peak < 10
+    warm = _LivePrompts(monkeypatch)
+    score_estimators(kinds, dataset, provider, cache, params=PARAMS, max_in_flight=2)
+    assert provider.calls == 1200 * tiles
+    assert warm.renders == 1200 * tiles
+    # the item being looked up, and the one before it until the loop rebinds
+    assert warm.peak <= 2
+
+
 def test_a_parsed_answer_has_one_step_record(toy):
     # every estimator that asked a prompt appends the same record of its answer
     names = ("prompt1_perplexity", "prompt2_token", "cot1", "cot2")
@@ -512,6 +585,28 @@ def test_score_file_rejects_an_ordinal_no_parser_returns(tmp_path, mode, ordinal
     assert (err.value.path, err.value.line_no) == (str(path), 2)
     path.write_text(line % (mode, top, "s1"), encoding="utf-8")
     assert load_score_file(path).get("de-en", "sysA", "s1").ordinal == json.loads(top)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ordinal", None, "neither an ordinal nor an error"),
+    ("error", "combine:kpe_cot1_combine: NoMatchError: no class label",
+     "both an ordinal and an error"),
+    ("template_id", "kpe_cot1_combine_cat5", "no built-in template"),
+    ("parsed", 99, "not a kpe_cot1_combine answer"),
+    ("parsed", 2.0, "not a kpe_cot1_combine answer"),
+])
+def test_score_file_rejects_a_record_no_run_writes(tmp_path, field, value, message):
+    # a score is either scored or failed, and each step names a built-in
+    # template and holds no answer or one that template's parser returns
+    scored = EARLIER_SCORE_FILE.splitlines()[0]
+    record = json.loads(scored)
+    target = record["steps"][2] if field in ("template_id", "parsed") else record
+    target[field] = value
+    path = tmp_path / "scores_cot1.jsonl"
+    path.write_text(f"{scored}\n{json.dumps(record)}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as err:
+        load_score_file(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
 
 
 def test_score_file_rejects_empty(tmp_path):
