@@ -231,7 +231,9 @@ def load_score_file(path: str | Path) -> ScoreTable:
     ordinal and no error) or failed (an error and no ordinal), its ordinal
     an answer the estimator's parser returns (a class index, a whole star
     or a finite scalar in range), and each step naming a built-in template
-    and holding no answer or one that template's parser returns. Any other
+    and holding no answer or one that template's parser returns. The steps
+    name the estimator's step templates in its mode and then, for a chain,
+    its combiner: all of them when scored, a prefix when failed. Any other
     line is a FormatError naming the path and line. The first line names
     the file's estimator and mode; a later line that names others is an
     InputError.
@@ -248,6 +250,7 @@ def load_score_file(path: str | Path) -> ScoreTable:
                 if estimator is None:
                     estimator = EstimatorKind(score.estimator, score.mode)
                     schema = estimator.template.schema
+                    run_steps = [s.template_id for s in estimator.steps] + [estimator.template_id]
             except KeyError as exc:
                 raise FormatError(str(path), line_no, f"missing field {exc}") from exc
             except (TypeError, ValueError, InputError) as exc:
@@ -267,6 +270,10 @@ def load_score_file(path: str | Path) -> ScoreTable:
                 if not _is_answer(step.parsed, templates.get(step.template_id).schema):
                     raise FormatError(str(path), line_no, f"step value {step.parsed!r} is "
                                       f"not a {step.template_id} answer")
+            step_ids = [step.template_id for step in score.steps]
+            if step_ids != (run_steps if score.ordinal is not None else run_steps[:len(step_ids)]):
+                raise FormatError(str(path), line_no, f"steps {step_ids} are not what a "
+                                  f"{score.mode} {score.estimator} run writes: {run_steps}")
             scores[(score.lp, score.system_id, score.seg_id)] = score
     if estimator is None:
         raise InputError(f"{path}: empty score file")

@@ -1,5 +1,11 @@
 """Command-line surface: score, report, align, templates, cache gc.
 
+The front end is the standard library's argparse, so kpe has no runtime
+dependency. Flags match exactly (an abbreviation such as --mod is a usage
+error), and each command takes --help. `main` is the console script; its
+main(args, prog_name, standalone_mode) method runs one command line in
+process.
+
 Run settings come from an optional JSON file (--config) and from flags,
 and a flag beats the file. Each setting is one RunConfig field: its name
 is the config key and the flag's destination, and it declares the
@@ -13,14 +19,18 @@ only, never from config or flags.
 template: template_id, version, placeholders (sorted), and schema, an
 object of kind, classes (null unless categorical), lo and hi.
 
-Exit codes: 0 success; 1 config or IO errors, or provider unreachable
-(nothing scored or aligned, and a provider error among the failures);
-2 finished but the scoring error rate exceeded the threshold, or some
-segment failed to align.
+Exit codes: 0 success; 1 config or IO errors (one `error: ...` line on
+stderr), provider unreachable (nothing scored or aligned, and a provider
+error among the failures), or an interrupt (`Aborted!`); 2 a usage error
+(an unknown command or flag, a flag value of the wrong type or choice, or
+a missing command or required flag), reported on stderr before anything
+runs, or finished but the scoring error rate exceeded the threshold, or
+some segment failed to align.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -30,8 +40,6 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn, get_args, get_type_hints
-
-import click
 
 from . import __version__
 from .backend import FileCache, GenParams, HttpProvider, MockFixtures, MockProvider
@@ -76,9 +84,10 @@ class RunConfig:
     A field's name is its config-file key and the destination of its flag,
     which is --field-name unless a ``flag`` metadata entry names it. Its
     annotation is the JSON type a config value must have (a float field
-    also takes an integer) and the flag's click type; a ``choices`` entry
-    in its metadata is the tuple of allowed values that the flag's
-    click.Choice shares. Fields marked ``score_only`` get no `align` flag.
+    also takes an integer) and the type the flag converts its value to; a
+    ``choices`` entry in its metadata is the tuple of allowed values that
+    the flag shares, and a ``help`` entry is the flag's help. Fields marked
+    ``score_only`` get no `align` flag.
     """
 
     segments: str = ""
@@ -237,31 +246,28 @@ def _build_provider(cfg: RunConfig, dataset: EvalDataset):
 
 
 def _fail(message: str, code: int = 1) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _run_options(*, scoring: bool):
-    """Add --config and one flag per RunConfig field; score_only fields only when scoring."""
+def _run_options(parser: argparse.ArgumentParser, *, scoring: bool) -> None:
+    """Add --config and one flag per RunConfig field; score_only fields only when scoring.
 
-    def add(fn):
-        # click lists a command's options in the reverse order of their decorators
-        for setting in reversed(fields(RunConfig)):
-            meta = setting.metadata
-            if meta.get("score_only") and not scoring:
-                continue
-            kind = next((t for t in _SETTING_TYPES[setting.name] if t in (int, float)), str)
-            fn = click.option(
-                meta.get("flag", "--" + setting.name.replace("_", "-")),
-                setting.name,
-                type=click.Choice(meta["choices"]) if "choices" in meta else kind,
-                default=None,
-                help=meta.get("help"),
-            )(fn)
-        return click.option("--config", "config_path", type=str, default=None,
-                            help="JSON config file; flags override its keys.")(fn)
-
-    return add
+    Every flag defaults to None, so a config-file value stands unless the flag is given.
+    """
+    parser.add_argument("--config", dest="config_path",
+                        help="JSON config file; flags override its keys.")
+    for setting in fields(RunConfig):
+        meta = setting.metadata
+        if meta.get("score_only") and not scoring:
+            continue
+        parser.add_argument(
+            meta.get("flag", "--" + setting.name.replace("_", "-")),
+            dest=setting.name,
+            type=next((t for t in _SETTING_TYPES[setting.name] if t in (int, float)), str),
+            choices=meta.get("choices"),
+            help=meta.get("help"),
+        )
 
 
 def _start_run(config_path: str | None, flags: dict, *, scoring: bool):
@@ -292,16 +298,8 @@ def _write_json(path: Path | str, obj) -> None:
         fh.write("\n")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="kpe")
-def main() -> None:
-    """Prompt-based machine translation quality estimation harness."""
-
-
 # templates -------------------------------------------------------------------
 
-@main.command()
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable listing.")
 def templates(as_json: bool) -> None:
     """List the builtin prompt templates."""
     registry = builtin_templates()
@@ -321,7 +319,7 @@ def templates(as_json: bool) -> None:
             }
             for t in rows
         ]
-        click.echo(json.dumps(objs, ensure_ascii=False, indent=2, sort_keys=True))
+        print(json.dumps(objs, ensure_ascii=False, indent=2, sort_keys=True))
         return
     for t in rows:
         if t.schema.kind == "categorical":
@@ -329,13 +327,11 @@ def templates(as_json: bool) -> None:
         else:
             shape = f"{t.schema.kind}[{t.schema.lo:g},{t.schema.hi:g}]"
         placeholders = ",".join(sorted(t.placeholders))
-        click.echo(f"{t.template_id} v{t.version} {shape} placeholders: {placeholders}")
+        print(f"{t.template_id} v{t.version} {shape} placeholders: {placeholders}")
 
 
 # score -----------------------------------------------------------------------
 
-@main.command()
-@_run_options(scoring=True)
 def score(config_path, **flags) -> None:
     """Score every system output with the configured estimators."""
     cfg, kinds, dataset, provider, cache = _start_run(config_path, flags, scoring=True)
@@ -343,7 +339,7 @@ def score(config_path, **flags) -> None:
     params = cfg.gen_params()
 
     try:
-        click.echo(f"scoring {', '.join(cfg.estimators)} ({cfg.scoring_mode})...", err=True)
+        print(f"scoring {', '.join(cfg.estimators)} ({cfg.scoring_mode})...", file=sys.stderr)
         tables = score_estimators(
             kinds,
             dataset,
@@ -356,10 +352,10 @@ def score(config_path, **flags) -> None:
         for name, table in tables.items():
             path = out_dir / f"scores_{name}.jsonl"
             table.write_jsonl(path)
-            click.echo(
+            print(
                 f"  {name}: {table.total} pairs, {table.n_parsed} parsed, "
                 f"{table.n_errored} errors -> {path}",
-                err=True,
+                file=sys.stderr,
             )
     except (KpeError, OSError) as exc:
         _fail(str(exc))
@@ -396,10 +392,10 @@ def score(config_path, **flags) -> None:
             _fail("provider unreachable: no pair scored; see score files for details")
     rate = (errored / total) if total else 0.0
     if rate > cfg.error_rate_threshold:
-        click.echo(
+        print(
             f"error rate {rate:.1%} exceeds threshold "
             f"{cfg.error_rate_threshold:.1%}",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(2)
 
@@ -444,16 +440,6 @@ def _human_accuracy_rows(tables, human_scores, warnings) -> list[list]:
     return rows
 
 
-@main.command()
-@click.option("--scores", "scores_dir", type=str, required=True,
-              help="Directory holding scores_<estimator>.jsonl files.")
-@click.option("--judgments", type=str, required=True)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="tsv")
-@click.option("--human-scores", type=str, default=None,
-              help="JSON file {lp: {system: score}} for pairwise accuracy.")
-@click.option("--drop-policy", type=click.Choice(DROP_POLICIES), default="drop")
-@click.option("--out", type=str, default=None,
-              help="Output directory (default: the scores directory).")
 def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:
     """Render Kendall tau tables from score files as Markdown and CSV."""
     try:
@@ -538,8 +524,8 @@ def report(scores_dir, judgments, fmt, human_scores, drop_policy, out) -> None:
     with open(out_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(csv_rows)
     for warning in warnings:
-        click.echo(f"warning: {warning}", err=True)
-    click.echo(f"wrote {out_dir / 'report.md'} and {out_dir / 'report.csv'}", err=True)
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"wrote {out_dir / 'report.md'} and {out_dir / 'report.csv'}", file=sys.stderr)
 
 
 def _run_model_id(scores_dir: str) -> str:
@@ -552,11 +538,6 @@ def _run_model_id(scores_dir: str) -> str:
 
 # align -----------------------------------------------------------------------
 
-@main.command()
-@_run_options(scoring=False)
-@click.option("--lp", type=str, required=True)
-@click.option("--system", "system_id", type=str, required=True)
-@click.option("--seg", "seg_ids", type=str, multiple=True, required=True)
 def align(config_path, lp, system_id, seg_ids, **flags) -> None:
     """Render token-alignment heatmaps for chosen (system, segment) pairs."""
     from .alignment import align_pairs, render_heatmap, tokenize
@@ -589,7 +570,7 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
     for seg_id, pair in zip(seg_ids, tokens):
         matrix = pair if isinstance(pair, KpeError) else next(aligned)
         if isinstance(matrix, KpeError):
-            click.echo(f"error: {lp}/{system_id}/{seg_id}: {matrix}", err=True)
+            print(f"error: {lp}/{system_id}/{seg_id}: {matrix}", file=sys.stderr)
             failures.append(type(matrix).__name__)
             continue
         base = out_dir / f"{lp}_{system_id}_{seg_id}"
@@ -604,7 +585,7 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
             "cells": [list(row) for row in matrix.cells],
             "clamped": matrix.clamped,
         })
-        click.echo(f"wrote {base}.svg", err=True)
+        print(f"wrote {base}.svg", file=sys.stderr)
     if len(failures) == len(seg_ids) and any(kind in _PROVIDER_UNREACHABLE for kind in failures):
         _fail("provider unreachable: no heatmap written")
     if failures:
@@ -624,14 +605,6 @@ def parse_max_age(text: str) -> float:
     return int(match.group(1)) * _AGE_UNIT_S[match.group(2)]
 
 
-@main.group()
-def cache() -> None:
-    """Response cache maintenance."""
-
-
-@cache.command("gc")
-@click.option("--cache-dir", type=str, required=True)
-@click.option("--max-age", type=str, required=True, help="e.g. 3600, 90m, 24h, 7d")
 def cache_gc(cache_dir, max_age) -> None:
     """Delete cache entries, quarantined files and orphaned temp files older than --max-age."""
     try:
@@ -641,7 +614,97 @@ def cache_gc(cache_dir, max_age) -> None:
         removed = FileCache(cache_dir).gc(age_s)
     except (KpeError, OSError) as exc:
         _fail(str(exc))
-    click.echo(f"removed {removed} entries")
+    print(f"removed {removed} entries")
+
+
+# command line ----------------------------------------------------------------
+
+def _command(commands, name: str, run=None, doc: str | None = None) -> argparse.ArgumentParser:
+    """Add a subcommand that takes --help and no abbreviated flag; it calls run if given."""
+    doc = doc or run.__doc__
+    parser = commands.add_parser(name, help=doc, description=doc, add_help=False,
+                                 allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    if run is not None:
+        parser.set_defaults(run=run)
+    return parser
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The whole command line; each command's flags are stored under its function's parameters."""
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Prompt-based machine translation quality estimation harness.",
+        add_help=False, allow_abbrev=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--version", action="version", version=f"kpe, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    _command(commands, "templates", templates).add_argument(
+        "--json", dest="as_json", action="store_true", help="Machine-readable listing.")
+
+    _run_options(_command(commands, "score", score), scoring=True)
+
+    sub = _command(commands, "report", report)
+    sub.add_argument("--scores", dest="scores_dir", required=True,
+                     help="Directory holding scores_<estimator>.jsonl files.")
+    sub.add_argument("--judgments", required=True)
+    sub.add_argument("--format", dest="fmt", choices=FORMATS, default="tsv")
+    sub.add_argument("--human-scores",
+                     help="JSON file {lp: {system: score}} for pairwise accuracy.")
+    sub.add_argument("--drop-policy", choices=DROP_POLICIES, default="drop")
+    sub.add_argument("--out", help="Output directory (default: the scores directory).")
+
+    sub = _command(commands, "align", align)
+    _run_options(sub, scoring=False)
+    sub.add_argument("--lp", required=True)
+    sub.add_argument("--system", dest="system_id", required=True)
+    sub.add_argument("--seg", dest="seg_ids", action="append", required=True)
+
+    cache = _command(commands, "cache", doc="Response cache maintenance.")
+    sub = _command(cache.add_subparsers(metavar="COMMAND", required=True), "gc", cache_gc)
+    sub.add_argument("--cache-dir", required=True)
+    sub.add_argument("--max-age", required=True, help="e.g. 3600, 90m, 24h, 7d")
+    return parser
+
+
+class _Main:
+    """The kpe command: the console script, with the name and main() that in-process callers use.
+
+    click's CliRunner needs only these two, so the tests drive kpe through it.
+    """
+
+    name = "kpe"
+
+    def __call__(self) -> None:
+        self.main()
+
+    def main(self, args=None, prog_name: str | None = None, standalone_mode: bool = True):
+        """Run one command line (sys.argv[1:] when args is None).
+
+        A usage error prints the usage and the error on stderr and exits 2.
+        An interrupt prints Aborted! and exits 1; without standalone_mode it
+        propagates to the caller. A reader that closes the output pipe early
+        ends the run with exit 1 and no traceback.
+        """
+        options = vars(_parser(prog_name or self.name).parse_args(args))
+        run = options.pop("run")
+        try:
+            run(**options)
+            sys.stdout.flush()
+        except KeyboardInterrupt:
+            if not standalone_mode:
+                raise
+            print("\nAborted!", file=sys.stderr)
+            sys.exit(1)
+        except BrokenPipeError:  # as in `kpe templates | true`
+            # stdout goes to /dev/null, so that the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

@@ -518,7 +518,8 @@ def test_score_file_rejects_mixed_estimators(tmp_path):
     path = tmp_path / "scores.jsonl"
     row1 = (
         '{"lp": "de-en", "system_id": "a", "seg_id": "s", "estimator": "gemba",'
-        ' "mode": "cat5", "ordinal": 4, "error": null, "steps": []}'
+        ' "mode": "cat5", "ordinal": 4, "error": null, "steps": [{"digest": "aa",'
+        ' "parsed": 4, "template_id": "gemba_classify", "version": 1}]}'
     )
     row2 = row1.replace('"gemba"', '"cot1"')
     path.write_text(row1 + "\n" + row2 + "\n", encoding="utf-8")
@@ -574,16 +575,20 @@ def test_score_file_written_earlier_loads_as_before(tmp_path):
     ("scalar", "100.5"), ("scalar", "NaN"), ("scalar", "-Infinity"),
 ])
 def test_score_file_rejects_an_ordinal_no_parser_returns(tmp_path, mode, ordinal):
-    # the first line holds the top answer of the mode, the second one outside it
+    # the first line holds the top answer of the mode, the second one outside
+    # it; each has its one step, which answers as the record does
     top = {"cat5": "4", "cat3": "2", "stars": "5", "scalar": "100.0"}[mode]
     line = ('{"error": null, "estimator": "gemba", "lp": "de-en", "mode": "%s", '
-            '"ordinal": %s, "seg_id": "%s", "steps": [], "system_id": "sysA"}\n')
+            '"ordinal": %s, "seg_id": "%s", "steps": [{"digest": "aa", "parsed": %s, '
+            '"template_id": "%s", "version": 1}], "system_id": "sysA"}\n')
+    template_id = EstimatorKind("gemba", mode).template_id
     path = tmp_path / "scores_gemba.jsonl"
-    path.write_text(line % (mode, top, "s1") + line % (mode, ordinal, "s2"), encoding="utf-8")
+    path.write_text(line % (mode, top, "s1", top, template_id)
+                    + line % (mode, ordinal, "s2", ordinal, template_id), encoding="utf-8")
     with pytest.raises(FormatError, match="not a .* answer") as err:
         load_score_file(path)
     assert (err.value.path, err.value.line_no) == (str(path), 2)
-    path.write_text(line % (mode, top, "s1"), encoding="utf-8")
+    path.write_text(line % (mode, top, "s1", top, template_id), encoding="utf-8")
     assert load_score_file(path).get("de-en", "sysA", "s1").ordinal == json.loads(top)
 
 
@@ -607,6 +612,34 @@ def test_score_file_rejects_a_record_no_run_writes(tmp_path, field, value, messa
     with pytest.raises(FormatError, match=message) as err:
         load_score_file(path)
     assert (err.value.path, err.value.line_no) == (str(path), 2)
+
+
+def _step(template_id: str, parsed: int) -> dict:
+    return {"digest": "aa", "parsed": parsed, "template_id": template_id, "version": 1}
+
+
+@pytest.mark.parametrize("estimator, ordinal, steps", [
+    ("cot1", 4, [_step("gemba_stars", 4)]),
+    ("cot1", 4, []),
+    ("prompt1_perplexity", 4, [_step("kpe_token_sim", 4)]),
+    ("gemba", 4, []),
+    ("cot2", 4, [_step("kpe_perplexity", 4), _step("kpe_token_sim", 4),
+                 _step("kpe_sent_sim", 4)]),
+    ("gemba", None, [_step("gemba_classify", 4), _step("gemba_classify", 4)]),
+], ids=["chain-with-another-estimators-step", "scored-chain-without-steps",
+        "one-step-with-another-template", "scored-one-step-without-its-step",
+        "scored-chain-without-its-combiner", "failed-with-a-step-too-many"])
+def test_score_file_rejects_steps_no_run_writes(tmp_path, estimator, ordinal, steps):
+    # a record's steps are a prefix of its estimator's step templates in its
+    # mode, then for a chain its combiner; a scored record holds all of them
+    error = None if ordinal is not None else "step2:gemba_classify: NoMatchError: no class label"
+    record = {"error": error, "estimator": estimator, "lp": "de-en", "mode": "cat5",
+              "ordinal": ordinal, "seg_id": "seg00", "steps": steps, "system_id": "sysA"}
+    path = tmp_path / f"scores_{estimator}.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="steps") as err:
+        load_score_file(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 1)
 
 
 def test_score_file_rejects_empty(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -7,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -125,18 +125,25 @@ def test_unknown_estimator_rejected(tmp_path):
         build_run_config(path, {})
 
 
+def command_flags(command: str) -> list[argparse.Action]:
+    """The actions of a command's flags, --help aside, as kpe's argparse parser holds them."""
+    parser = kpe.cli._parser("kpe")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in commands.choices[command]._actions if a.dest != "help"]
+
+
 def test_run_config_fields_are_the_setting_flags():
     # one declaration per setting: each score flag stores into the field it sets
     names = {f.name for f in dataclasses.fields(RunConfig)}
-    score_dests = {p.name for p in main.commands["score"].params} - {"config_path"}
+    score_dests = {a.dest for a in command_flags("score")} - {"config_path"}
     assert score_dests == names
-    align_dests = {p.name for p in main.commands["align"].params} - {
+    align_dests = {a.dest for a in command_flags("align")} - {
         "config_path", "lp", "system_id", "seg_ids"
     }
     assert align_dests <= names
 
 
-# Every flag of the two run commands, with its click type name or its choices.
+# Every flag of the two run commands, with the name of its value type or its choices.
 RUN_FLAGS = {
     "--config": "text",
     "--segments": "text",
@@ -165,10 +172,11 @@ ALIGN_FLAGS = {**RUN_FLAGS, "--lp": "text", "--system": "text", "--seg": "text"}
 
 @pytest.mark.parametrize("command, expected", [("score", SCORE_FLAGS), ("align", ALIGN_FLAGS)])
 def test_run_command_flags_and_their_types(command, expected):
+    type_names = {None: "text", str: "text", int: "integer", float: "float"}
     got = {
-        opt: tuple(p.type.choices) if isinstance(p.type, click.Choice) else p.type.name
-        for p in main.commands[command].params
-        for opt in p.opts
+        opt: tuple(a.choices) if a.choices is not None else type_names[a.type]
+        for a in command_flags(command)
+        for opt in a.option_strings
     }
     assert got == expected
 
@@ -211,13 +219,13 @@ def test_score_rejects_bad_config_value(tmp_path, monkeypatch, key, value):
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # kpe does not depend on requests, and escapes SVG text with html.escape:
+    # kpe depends on neither requests nor click, and escapes SVG text with html.escape:
     # importing the CLI must load neither requests nor xml.sax (which loads
     # urllib.request); http.client (and the email package it pulls in) loads
     # only when the http provider is built
     src = str(Path(kpe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    modules = ["requests", "xml.sax", "urllib.request", "http.client", "email"]
+    modules = ["requests", "xml.sax", "urllib.request", "http.client", "email", "click"]
     result = subprocess.run(
         [sys.executable, "-c",
          f"import sys, kpe.cli; print([m for m in {modules!r} if m in sys.modules])"],
@@ -270,6 +278,81 @@ def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "kpe" in result.output
+
+
+@pytest.mark.parametrize("args, named", [
+    (["score", "--mode", "cat7"], ["--mode", "cat7"]),
+    (["score", "--max-in-flight", "two"], ["--max-in-flight", "two"]),
+    (["report"], ["--scores"]),
+    (["align", "--lp", "de-en"], ["--system"]),
+    (["frob"], ["frob"]),
+    ([], ["COMMAND"]),
+    (["cache"], ["cache", "COMMAND"]),
+], ids=["bad-choice", "bad-integer", "report-without-scores", "align-without-system",
+        "unknown-command", "no-command", "bare-cache"])
+def test_usage_error_exits_2_and_names_what_was_wrong(tmp_path, monkeypatch, args, named):
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "usage" in result.stderr.lower()
+    for word in named:
+        assert word in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_output_pipe_exits_1_without_a_traceback():
+    # as `kpe templates --json | true` does when the reader exits first
+    src = str(Path(kpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "kpe.cli", "templates", "--json"],
+                                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+# Runs kpe's console entry point in a child whose `import click` fails.
+WITHOUT_CLICK = (
+    "import sys; sys.modules['click'] = None; import kpe.cli; "
+    "kpe.cli.main.main(args=sys.argv[1:], prog_name='kpe', standalone_mode=False)"
+)
+
+
+def test_kpe_runs_without_click(tmp_path):
+    src = str(Path(kpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", WITHOUT_CLICK, *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"kpe, version {kpe.__version__}\n")
+    listing = run("templates", "--json")
+    assert listing.returncode == 0, listing.stderr
+    assert len(json.loads(listing.stdout)) == 21
+    write_toy_corpus(tmp_path)
+    cfg = {
+        "segments": str(tmp_path / "segments.tsv"),
+        "outputs": str(tmp_path / "outputs.tsv"),
+        "provider": "mock",
+        "mock_fixtures": str(tmp_path / "fixtures.json"),
+        "max_in_flight": 2,
+    }
+    path = write_config(tmp_path, cfg)
+    scored = run("score", "--config", path, "--out", str(tmp_path / "no_click"))
+    assert scored.returncode == 0, scored.stderr
+    normal = CliRunner().invoke(main, ["score", "--config", path, "--out", str(tmp_path / "normal")])
+    assert normal.exit_code == 0, normal.stderr
+    assert scored.stderr == normal.stderr.replace("normal", "no_click")
+    expected = sorted((tmp_path / "normal").glob("scores_*.jsonl"))
+    assert len(expected) == 5
+    for file in expected:
+        assert (tmp_path / "no_click" / file.name).read_bytes() == file.read_bytes()
 
 
 # templates --------------------------------------------------------------------
