@@ -1,11 +1,12 @@
 """Completion providers, response cache, and the bounded batch executor.
 
-The HTTP provider speaks the common chat-completions wire shape, by default
-over the keep-alive transport in `kpe.transport`. The mock provider grades
-deterministically from pseudo-reference fixtures so the whole harness runs
-offline; it reads which estimator asked a prompt, and the aspect that
-estimator is graded on, from `kpe.prompting.ESTIMATORS`. Both sit behind
-the same two-method surface (`provider_id`, `complete`).
+A provider is one method, `complete(prompt, params)`, returning the answer
+text. The HTTP provider owns the chat-completions request: it checks its
+endpoint when built (`check_endpoint`), encodes the JSON payload and decodes
+the (status, body) that the byte pipe in `kpe.transport` returns. The mock
+provider grades deterministically from pseudo-reference fixtures so the
+whole harness runs offline; it reads which estimator asked a prompt, and the
+aspect that estimator is graded on, from `kpe.prompting.ESTIMATORS`.
 `run_batch` is the one caller of a provider and of the cache, and
 `cached_complete` is its one-prompt case. The cache keys responses by a
 content digest over (model, template id, template version, final prompt
@@ -44,6 +45,7 @@ import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 # The built-in SHA-256, as random.py takes it: hashlib would map OpenSSL for it.
 try:
@@ -91,7 +93,6 @@ class GenParams:
 @dataclass(frozen=True, slots=True)
 class CompletionResult:
     text: str
-    provider_id: str
     from_cache: bool
     latency_ms: int
     request_digest: str
@@ -280,19 +281,33 @@ _RETRYABLE_STATUS = {408, 429}
 _RETRY_BASE_S = 1.0
 
 
+def check_endpoint(url: str) -> None:
+    """Raise ConfigError unless url is http(s) with a host and a port in 0-65535."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"endpoint_url is not an http(s) URL with a host: {url!r}")
+    try:
+        parts.port
+    except ValueError as exc:  # a port that is not a number in 0..65535
+        raise ConfigError(f"endpoint_url {url!r}: {exc}") from exc
+
+
 class HttpProvider:
     """Chat-completions client with exponential backoff.
 
-    Retries transport failures, 408, 429 and 5xx up to max_attempts, the
-    delay doubling from _RETRY_BASE_S (1 s, 2 s, 4 s, ...). 401/403 raise
-    AuthError immediately; other 4xx, and an answer cut off at max_tokens
-    (finish_reason "length"), raise ProviderError. The sleep function and the session are
-    injectable for tests: a session is any object with post(url, json=,
-    headers=, timeout=) returning a response with .status_code and .json().
-    The default is kpe.transport.KeepAliveTransport, which holds at most one
-    connection per request in flight and reuses it across batches; close it
-    with provider.session.close(). OSError and http.client.HTTPException
-    from the session are transport failures.
+    The endpoint is checked when the provider is built: a malformed URL is a
+    ConfigError before any request. Retries transport failures, 408, 429
+    and 5xx up to max_attempts, the delay doubling from _RETRY_BASE_S (1 s,
+    2 s, 4 s, ...). 401/403 raise AuthError immediately; other 4xx, a body
+    that is not the chat-completions JSON, and an answer cut off at
+    max_tokens (finish_reason "length") raise ProviderError. The sleep
+    function and the session are injectable for tests: a session is any
+    object with post(url, body, headers, timeout) that sends the body bytes
+    and returns the response's (status, body bytes). The default is
+    kpe.transport.KeepAliveTransport, which holds at most one connection per
+    request in flight and reuses it across batches; close it with
+    provider.session.close(). OSError and http.client.HTTPException from the
+    session are transport failures.
     """
 
     def __init__(
@@ -304,6 +319,7 @@ class HttpProvider:
         max_attempts: int = 5,
         timeout_s: float = 60.0,
     ) -> None:
+        check_endpoint(endpoint_url)
         self.endpoint_url = endpoint_url
         self.api_key = api_key
         if session is None:
@@ -333,6 +349,7 @@ class HttpProvider:
         }
         if params.stop is not None:
             payload["stop"] = list(params.stop)
+        body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -344,13 +361,11 @@ class HttpProvider:
             with self._lock:
                 self.attempts += 1
             try:
-                resp = self.session.post(
-                    self.endpoint_url, json=payload, headers=headers, timeout=self.timeout_s
-                )
+                status, data = self.session.post(self.endpoint_url, body, headers,
+                                                 self.timeout_s)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = TransportError(f"transport failure: {exc}")
                 continue
-            status = getattr(resp, "status_code", 0)
             if status in (401, 403):
                 raise AuthError(f"authentication rejected (HTTP {status})", status=status)
             if status in _RETRYABLE_STATUS or status >= 500:
@@ -360,7 +375,7 @@ class HttpProvider:
             if status != 200:
                 raise ProviderError(f"HTTP {status} from provider", status=status)
             try:
-                choice = resp.json()["choices"][0]
+                choice = json.loads(data)["choices"][0]
                 text = choice["message"]["content"]
                 finish_reason = choice.get("finish_reason")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -713,7 +728,6 @@ def run_batch(
     for digest, members, text in hits:
         settle(members, CompletionResult(
             text=text,
-            provider_id=provider.provider_id,
             from_cache=True,
             latency_ms=0,
             request_digest=digest,
@@ -748,7 +762,6 @@ def run_batch(
                     raise
             settle(members, CompletionResult(
                 text=text,
-                provider_id=provider.provider_id,
                 from_cache=False,
                 latency_ms=latency_ms,
                 request_digest=digest,

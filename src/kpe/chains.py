@@ -403,11 +403,15 @@ def _run_plan(
     states = {kind.name: [_PairState() for _ in outputs] for kind in kinds}
     live = []
     for i, output in enumerate(outputs):
-        if output.mt_text.strip():
+        if not output.mt_text.strip():
+            blank = "mt_text"
+        elif not sources[i].strip():
+            blank = "src_text"
+        else:
             live.append(i)
             continue
         for by_pair in states.values():
-            by_pair[i].fail("input", InputError("empty mt_text"))
+            by_pair[i].fail("input", InputError(f"empty {blank}"))
 
     # Stage 1: every one-step template any estimator needs, once per live pair.
     step_templates = {

@@ -42,7 +42,14 @@ from pathlib import Path
 from typing import NoReturn, get_args, get_type_hints
 
 from . import __version__
-from .backend import FileCache, GenParams, HttpProvider, MockFixtures, MockProvider
+from .backend import (
+    FileCache,
+    GenParams,
+    HttpProvider,
+    MockFixtures,
+    MockProvider,
+    check_endpoint,
+)
 # perfbench/tracing.py wraps _build_provider, score_dataset, the corpus loaders,
 # load_score_file and kendall_tau_rr as attributes of this module: keep them here.
 from .chains import (
@@ -128,22 +135,12 @@ class RunConfig:
             raise ConfigError("error_rate_threshold must be between 0 and 1")
         if not self.temperature >= 0:
             raise ConfigError("temperature must be >= 0")
-        if self.provider == "http" and not self.endpoint_url:
-            raise ConfigError("http provider needs endpoint_url")
         if self.provider == "http":
-            from urllib.parse import urlsplit
-
-            url = urlsplit(self.endpoint_url)
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ConfigError(
-                    f"endpoint_url must be an http(s) URL with a host, got {self.endpoint_url!r}"
-                )
-            try:
-                url.port
-            except ValueError as exc:  # a port that is not a number in 0..65535
-                raise ConfigError(f"endpoint_url {self.endpoint_url!r}: {exc}") from exc
-        if self.provider == "http" and not self.model_id:
-            raise ConfigError("http provider needs model_id")
+            if not self.endpoint_url:
+                raise ConfigError("http provider needs endpoint_url")
+            check_endpoint(self.endpoint_url)  # before a run loads the dataset
+            if not self.model_id:
+                raise ConfigError("http provider needs model_id")
         if self.provider == "mock" and not self.mock_fixtures:
             raise ConfigError("mock provider needs mock_fixtures")
         paths = [("segments", self.segments), ("outputs", self.outputs)]

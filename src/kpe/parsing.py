@@ -52,7 +52,8 @@ _CLAUSES_RE = re.compile(
     r"(?s:.*(?:[;:.]|,\s*(?:and|but|or|nor|yet|so|although|though|while|whereas)\b))?"
 )
 _NEGATOR_RE = re.compile(
-    r"\b(?:not|no|never|hardly|nothing|nowhere|rather|instead|far\s+from|anything\s+but)\b"
+    r"\b(?:not|no|never|hardly|nothing|nowhere|rather\s+than|instead\s+of|far\s+from"
+    r"|anything\s+but)\b"
     r"|n['’]t\b"
 )
 

@@ -1,16 +1,17 @@
 """Keep-alive HTTP/1.1 transport for the chat-completions provider.
 
-A stdlib replacement for a requests session: `KeepAliveTransport.post`
-sends one JSON POST and returns an `HttpResponse`, reusing idle
-connections across threads. Proxies come from the environment and TLS is
-verified against the system CA store.
+A byte pipe: `KeepAliveTransport.post` sends one POST body and returns
+the response's status and body, reusing idle connections across threads.
+What the bytes mean, and whether the URL is a valid endpoint, is the
+provider's business (`kpe.backend.HttpProvider` checks the URL when it is
+built). Proxies come from the environment and TLS is verified against the
+system CA store.
 """
 
 from __future__ import annotations
 
 import base64
 import http.client
-import json
 import ssl
 import threading
 import urllib.parse
@@ -20,15 +21,6 @@ from dataclasses import dataclass
 # How a reused keep-alive connection that the server has closed fails before
 # any response (RemoteDisconnected is a ConnectionResetError).
 _STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
-
-
-@dataclass(frozen=True)
-class HttpResponse:
-    status_code: int
-    body: bytes
-
-    def json(self):
-        return json.loads(self.body)
 
 
 @dataclass(frozen=True)
@@ -80,10 +72,11 @@ class KeepAliveTransport:
         self._targets: dict[str, tuple[_Route, str, dict[str, str]]] = {}
         self._tls: ssl.SSLContext | None = None
 
-    def post(self, url: str, json=None, headers=None, timeout=None) -> HttpResponse:
+    def post(self, url: str, body: bytes, headers: dict[str, str],
+             timeout: float | None) -> tuple[int, bytes]:
+        """POST body to url and return the response's status and body."""
         route, target, route_headers = self._target(url)
-        body = _json_body(json)
-        sent_headers = {"User-Agent": "kpe", **route_headers, **(headers or {})}
+        sent_headers = {"User-Agent": "kpe", **route_headers, **headers}
         with self._lock:
             idle = self._idle.get(route)
             conn = idle.pop() if idle else None
@@ -113,7 +106,7 @@ class KeepAliveTransport:
         else:
             with self._lock:
                 self._idle.setdefault(route, []).append(conn)
-        return HttpResponse(resp.status, data)
+        return resp.status, data
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -124,17 +117,12 @@ class KeepAliveTransport:
                 conn.close()
 
     def _target(self, url: str) -> tuple[_Route, str, dict[str, str]]:
-        """The route, the request target and the proxy headers for url."""
+        """The route, the request target and the proxy headers for an http(s) url."""
         found = self._targets.get(url)
         if found is not None:
             return found
         parts = urllib.parse.urlsplit(url)
-        try:
-            port = parts.port or (443 if parts.scheme == "https" else 80)
-        except ValueError as exc:
-            raise http.client.InvalidURL(f"bad port in {url!r}") from exc
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
+        port = parts.port or (443 if parts.scheme == "https" else 80)
         route = _proxy_route(parts.scheme, parts.hostname, port)
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         route_headers: dict[str, str] = {}
@@ -157,8 +145,3 @@ class KeepAliveTransport:
             tunnel_headers = {"Proxy-Authorization": route.proxy_auth} if route.proxy_auth else None
             conn.set_tunnel(route.host, route.port, headers=tunnel_headers)
         return conn
-
-
-def _json_body(obj) -> bytes:
-    # a helper because KeepAliveTransport.post's json= parameter hides the module
-    return json.dumps(obj).encode("utf-8")

@@ -25,7 +25,7 @@ from kpe.alignment import (
     tokenize,
 )
 from kpe.backend import GenParams, MockProvider, request_digest
-from kpe.chains import EstimatorKind, QualityScore, ScoreTable, score_dataset
+from kpe.chains import EstimatorKind, QualityScore, ScoreTable, score_estimators
 from kpe.cli import main
 from kpe.corpus import RRJudgment, dataset_stats, load_rr_judgments
 from kpe.metrics import kendall_tau_rr, pairwise_accuracy, score_distribution
@@ -308,13 +308,13 @@ def test_criterion_08_chain_structure(toy):
         checked_steps = 0
         for name, n_rounds in (("cot1", 3), ("cot2", 4)):
             kind = EstimatorKind(name=name)
-            table = score_dataset(
-                kind,
+            table = score_estimators(
+                [kind],
                 toy.dataset,
                 MockProvider(fixtures=toy.fixtures),
                 None,
                 params=PARAMS,
-            )
+            )[kind.name]
             assert table.n_errored == 0
             assert len(table.scores) == 240
             templates = [step.template for step in kind.steps] + [kind.template]

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -290,34 +291,26 @@ def test_cache_gc_by_age(tmp_path):
 
 # http provider ----------------------------------------------------------
 
-class FakeResponse:
-    def __init__(self, status_code: int, body=None, bad_json: bool = False):
-        self.status_code = status_code
-        self._body = body
-        self._bad_json = bad_json
-
-    def json(self):
-        if self._bad_json:
-            raise ValueError("not json")
-        return self._body
-
-
 class FakeSession:
     def __init__(self, script):
-        # script items: FakeResponse or an exception to raise
+        # script items: a (status, body bytes) reply or an exception to raise
         self.script = list(script)
         self.requests = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
+    def post(self, url, body, headers, timeout):
+        self.requests.append({"url": url, "json": json.loads(body), "headers": headers})
         item = self.script.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
 
 
-def _ok(text: str) -> FakeResponse:
-    return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
+def _reply(obj) -> tuple[int, bytes]:
+    return 200, json.dumps(obj).encode("utf-8")
+
+
+def _ok(text: str) -> tuple[int, bytes]:
+    return _reply({"choices": [{"message": {"content": text}}]})
 
 
 def _provider(script, **kwargs) -> tuple[HttpProvider, FakeSession, list]:
@@ -345,14 +338,14 @@ def test_http_success_payload_and_auth_header():
 
 
 def test_http_retries_5xx_with_backoff():
-    provider, _, sleeps = _provider([FakeResponse(500), FakeResponse(503), _ok("ok")])
+    provider, _, sleeps = _provider([(500, b""), (503, b""), _ok("ok")])
     assert provider.complete(_prompt("x"), PARAMS) == "ok"
     assert sleeps == [1.0, 2.0]
     assert provider.attempts == 3
 
 
 def test_http_rate_limit_exhausts_attempts():
-    provider, _, sleeps = _provider([FakeResponse(429)] * 5)
+    provider, _, sleeps = _provider([(429, b"")] * 5)
     with pytest.raises(RateLimitError):
         provider.complete(_prompt("x"), PARAMS)
     assert sleeps == [1.0, 2.0, 4.0, 8.0]
@@ -360,13 +353,13 @@ def test_http_rate_limit_exhausts_attempts():
 
 def test_http_transport_errors_retried():
     provider, _, _ = _provider(
-        [ConnectionError("boom"), FakeResponse(408), _ok("ok")]
+        [ConnectionError("boom"), (408, b""), _ok("ok")]
     )
     assert provider.complete(_prompt("x"), PARAMS) == "ok"
 
 
 def test_http_auth_error_not_retried():
-    provider, session, sleeps = _provider([FakeResponse(401)])
+    provider, session, sleeps = _provider([(401, b"")])
     with pytest.raises(AuthError):
         provider.complete(_prompt("x"), PARAMS)
     assert sleeps == []
@@ -374,17 +367,17 @@ def test_http_auth_error_not_retried():
 
 
 def test_http_client_error_not_retried():
-    provider, _, _ = _provider([FakeResponse(404)])
+    provider, _, _ = _provider([(404, b"")])
     with pytest.raises(ProviderError) as err:
         provider.complete(_prompt("x"), PARAMS)
     assert not isinstance(err.value, (AuthError, RateLimitError, TransportError))
 
 
 def test_http_malformed_body_is_provider_error():
-    provider, _, _ = _provider([FakeResponse(200, bad_json=True)])
+    provider, _, _ = _provider([(200, b"<html>busy</html>")])
     with pytest.raises(ProviderError):
         provider.complete(_prompt("x"), PARAMS)
-    provider2, _, _ = _provider([FakeResponse(200, {"choices": []})])
+    provider2, _, _ = _provider([_reply({"choices": []})])
     with pytest.raises(ProviderError):
         provider2.complete(_prompt("x"), PARAMS)
 
@@ -392,7 +385,7 @@ def test_http_malformed_body_is_provider_error():
 def test_http_truncated_answer_is_a_provider_error_not_retried(tmp_path):
     def answer(finish_reason):
         choice = {"message": {"content": "Class: Perf"}, "finish_reason": finish_reason}
-        return FakeResponse(200, {"choices": [choice]})
+        return _reply({"choices": [choice]})
 
     provider, session, sleeps = _provider([answer("length")])
     with pytest.raises(ProviderError, match="cut off at max_tokens=256"):
@@ -555,7 +548,6 @@ class CountingProvider:
     """Deterministic provider that records call order and can fail or stall."""
 
     def __init__(self, fail_texts=(), delay_texts=()):
-        self.provider_id = "counting"
         self.calls = 0
         self.seen = []
         self.fail_texts = set(fail_texts)
@@ -573,11 +565,11 @@ class CountingProvider:
         return f"echo {prompt.final_text}"
 
 
-def test_cached_complete_hit_and_miss(tmp_path):
+def test_run_batch_cache_hit_and_miss(tmp_path):
     cache = FileCache(tmp_path / "cache")
     provider = CountingProvider()
-    first = cached_complete(provider, cache, _prompt("q"), PARAMS)
-    second = cached_complete(provider, cache, _prompt("q"), PARAMS)
+    (first,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
+    (second,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
     assert first.from_cache is False
     assert second.from_cache is True
     assert second.text == first.text == "echo q"
@@ -585,12 +577,19 @@ def test_cached_complete_hit_and_miss(tmp_path):
     assert provider.calls == 1
 
 
+def test_a_provider_is_only_its_complete_method(tmp_path):
+    provider = SimpleNamespace(complete=lambda prompt, params: f"echo {prompt.final_text}")
+    cache = FileCache(tmp_path / "cache")
+    (miss,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
+    (hit,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
+    assert (miss.text, miss.from_cache) == ("echo q", False)
+    assert (hit.text, hit.from_cache) == ("echo q", True)
+
+
 def test_cached_complete_reraises_the_provider_error(tmp_path):
     error = TransportError("connection refused")
 
     class DownProvider:
-        provider_id = "down"
-
         def complete(self, prompt, params):
             raise error
 

@@ -13,7 +13,6 @@ from kpe.chains import (
     QualityScore,
     StepRecord,
     load_score_file,
-    score_dataset,
     score_estimators,
 )
 from kpe.corpus import EvalDataset, Segment, SystemOutput
@@ -192,7 +191,6 @@ class GarblingProvider:
     def __init__(self, inner, garbled_template_ids):
         self.inner = inner
         self.garbled = set(garbled_template_ids)
-        self.provider_id = "garbling"
         self.calls = 0
 
     def complete(self, prompt, params):
@@ -241,9 +239,9 @@ def test_score_dataset_marks_failures_without_aborting():
         {"s1": IDENTICAL},  # s2 has no pseudo-reference
     )
     provider = MockProvider(fixtures=fixtures)
-    table = score_dataset(
-        EstimatorKind(name="gemba"), dataset, provider, None, params=PARAMS
-    )
+    table = score_estimators(
+        [EstimatorKind(name="gemba")], dataset, provider, None, params=PARAMS
+    )["gemba"]
     ok = table.get("de-en", "sysA", "s1")
     bad = table.get("de-en", "sysA", "s2")
     assert ok.ordinal == 4 and ok.error is None
@@ -258,13 +256,49 @@ def test_score_dataset_empty_mt_skips_provider():
     dataset = EvalDataset.build(segments, outputs, [])
     fixtures = MockFixtures.from_dataset(dataset, {("de-en", "s1"): "ref"})
     provider = MockProvider(fixtures=fixtures)
-    table = score_dataset(
-        EstimatorKind(name="gemba"), dataset, provider, None, params=PARAMS
-    )
+    table = score_estimators(
+        [EstimatorKind(name="gemba")], dataset, provider, None, params=PARAMS
+    )["gemba"]
     score = table.get("de-en", "sysA", "s1")
     assert provider.calls == 0
     assert score.steps == ()
     assert "empty mt_text" in score.error
+
+
+def test_blank_source_is_recorded_on_its_pair():
+    # load_segments refuses a blank source, but a library caller can build one
+    dataset, fixtures = _pair_fixtures(
+        {"s1": IDENTICAL, "s2": "different text entirely."},
+        {"s1": IDENTICAL, "s2": IDENTICAL},
+    )
+    blank = EvalDataset.build(
+        [Segment(lp="de-en", seg_id="s1", src_text="   "), dataset.get_segment("de-en", "s2")],
+        list(dataset.outputs), [],
+    )
+    kinds = [EstimatorKind(name="prompt1_perplexity"), EstimatorKind(name="prompt2_token")]
+    provider = MockProvider(fixtures=fixtures)
+    tables = score_estimators(kinds, blank, provider, None, params=PARAMS)
+    assert provider.calls == 2  # one prompt per estimator, none for the blank pair
+    full = score_estimators(kinds, dataset, MockProvider(fixtures=fixtures), None,
+                            params=PARAMS)
+    for kind in kinds:
+        score = tables[kind.name].get("de-en", "sysA", "s1")
+        assert score.ordinal is None and score.steps == ()
+        assert score.error == "input: InputError: empty src_text"
+        assert tables[kind.name].get("de-en", "sysA", "s2") == full[kind.name].get(
+            "de-en", "sysA", "s2")
+
+
+def test_score_dataset_is_score_estimators_of_one_kind(toy):
+    # score_dataset stays only for the benchmark; it must score as kpe does
+    for name in ESTIMATORS:
+        kind = EstimatorKind(name=name)
+        fork = kpe.chains.score_dataset(kind, toy.dataset, MockProvider(fixtures=toy.fixtures),
+                                        None, params=PARAMS)
+        table = score_estimators([kind], toy.dataset, MockProvider(fixtures=toy.fixtures),
+                                 None, params=PARAMS)[name]
+        assert fork.estimator == table.estimator
+        assert fork.scores == table.scores
 
 
 def test_chain_failure_skips_later_stages(identical_pair):
@@ -273,9 +307,9 @@ def test_chain_failure_skips_later_stages(identical_pair):
         fixtures=MockFixtures.from_dataset(dataset, {("de-en", "s1"): IDENTICAL})
     )
     provider = GarblingProvider(mock, {"kpe_token_sim"})
-    table = score_dataset(
-        EstimatorKind(name="cot1"), dataset, provider, None, params=PARAMS
-    )
+    table = score_estimators(
+        [EstimatorKind(name="cot1")], dataset, provider, None, params=PARAMS
+    )["cot1"]
     score = table.get("de-en", "sysA", "s1")
     assert score.ordinal is None
     assert len(score.steps) == 2  # perplexity ok, token failed, no combine
@@ -287,7 +321,6 @@ class StageOrderProvider:
 
     def __init__(self, inner):
         self.inner = inner
-        self.provider_id = "ordered"
         self.calls = 0
         self.events = []
         self.texts = []
@@ -426,8 +459,6 @@ def test_single_pair_records_the_provider_error(identical_pair):
     error = TransportError("connection refused")
 
     class Refusing:
-        provider_id = "refusing"
-
         def complete(self, prompt, params):
             if prompt.template_id == "kpe_token_sim":
                 raise error
@@ -441,13 +472,13 @@ def test_single_pair_records_the_provider_error(identical_pair):
 def test_chain_reuses_cached_step_responses(tmp_path, identical_pair):
     dataset, provider = identical_pair
     cache = FileCache(tmp_path / "cache")
-    score_dataset(
-        EstimatorKind(name="prompt1_perplexity"), dataset, provider, cache, params=PARAMS
+    score_estimators(
+        [EstimatorKind(name="prompt1_perplexity")], dataset, provider, cache, params=PARAMS
     )
     calls_before = provider.calls
-    table = score_dataset(
-        EstimatorKind(name="cot1"), dataset, provider, cache, params=PARAMS
-    )
+    table = score_estimators(
+        [EstimatorKind(name="cot1")], dataset, provider, cache, params=PARAMS
+    )["cot1"]
     # the chain's first step is the same prompt the one-step run already cached
     assert provider.calls == calls_before + 2  # token_sim + combine only
     assert table.get("de-en", "sysA", "s1").ordinal == 4
@@ -457,9 +488,9 @@ def test_chain_reuses_cached_step_responses(tmp_path, identical_pair):
 
 def test_score_file_round_trip(tmp_path, identical_pair):
     dataset, provider = identical_pair
-    table = score_dataset(
-        EstimatorKind(name="cot1"), dataset, provider, None, params=PARAMS
-    )
+    table = score_estimators(
+        [EstimatorKind(name="cot1")], dataset, provider, None, params=PARAMS
+    )["cot1"]
     path = tmp_path / "scores_cot1.jsonl"
     table.write_jsonl(path)
     loaded = load_score_file(path)
@@ -486,7 +517,7 @@ def test_records_round_trip_through_pickle_and_copy(identical_pair):
     score = _score_one(EstimatorKind(name="cot1"), dataset, provider)
     template = builtin_templates().get("kpe_perplexity")
     prompt = render_template(template, {"target_seg": IDENTICAL})
-    result = CompletionResult("Class: Perfect translation", "mock", False, 3, "ab" * 32)
+    result = CompletionResult("Class: Perfect translation", False, 3, "ab" * 32)
     for record in (score, score.steps[0], prompt, result):
         assert not hasattr(record, "__dict__")
         for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
@@ -652,7 +683,7 @@ def test_score_file_rejects_empty(tmp_path):
 def test_unknown_step_failure_policy(identical_pair):
     dataset, provider = identical_pair
     with pytest.raises(InputError):
-        score_dataset(
-            EstimatorKind(name="gemba"), dataset, provider, None,
+        score_estimators(
+            [EstimatorKind(name="gemba")], dataset, provider, None,
             params=PARAMS, step_failure="wing_it",
         )

@@ -20,7 +20,7 @@ import pytest
 
 import kpe
 from kpe.backend import GenParams, HttpProvider, run_batch
-from kpe.errors import ProviderError, TransportError
+from kpe.errors import ConfigError, ProviderError, TransportError
 from kpe.prompting import RenderedPrompt
 
 PARAMS = GenParams(model_id="model-x")
@@ -49,6 +49,7 @@ class ChatServer:
         self.requests = 0
         self.paths: list[str] = []
         self.headers: list[dict[str, str]] = []
+        self.bodies: list[bytes] = []
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -61,12 +62,14 @@ class ChatServer:
                     server.connections += 1
 
             def do_POST(self) -> None:
-                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
+                payload = json.loads(raw)
                 with server.lock:
                     server.requests += 1
                     drop = server.requests <= drop_first
                     server.paths.append(self.path)
                     server.headers.append(dict(self.headers))
+                    server.bodies.append(raw)
                 if drop:
                     self.close_connection = True
                     return
@@ -179,6 +182,25 @@ def serve():
 def _provider(url: str, **kwargs) -> tuple[HttpProvider, list[float]]:
     sleeps: list[float] = []
     return HttpProvider(url, sleep=sleeps.append, timeout_s=10.0, **kwargs), sleeps
+
+
+@pytest.mark.parametrize("api_key", [None, "sk-test"])
+def test_request_bytes_on_the_wire(serve, api_key):
+    server = serve()
+    provider, _ = _provider(server.url, api_key=api_key)
+    try:
+        assert provider.complete(_prompt("ping"), PARAMS) == "echo ping"
+    finally:
+        provider.session.close()
+    assert server.bodies == [
+        b'{"model": "model-x", "messages": [{"role": "user", "content": "ping"}], '
+        b'"temperature": 0.0, "max_tokens": 256}'
+    ]
+    headers = server.headers[0]
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == "kpe"
+    assert headers.get("Authorization") == (api_key and f"Bearer {api_key}")
+    assert headers["Content-Length"] == str(len(server.bodies[0]))
 
 
 def test_two_batches_share_at_most_max_in_flight_connections(serve):
@@ -323,10 +345,21 @@ def test_non_json_body_is_provider_error(serve):
     assert sleeps == []
 
 
-def test_unsupported_url_scheme_is_transport_error():
-    provider, _ = _provider("ftp://example.invalid/chat", max_attempts=1)
-    with pytest.raises(TransportError, match="not an http"):
-        provider.complete(_prompt("q"), PARAMS)
+def test_malformed_endpoint_is_a_config_error_when_built():
+    # refused up front: a malformed URL sent as requests would back off 15 s per prompt
+    class Session:
+        def post(self, *args):
+            posts.append(args)
+
+    posts: list = []
+    sleeps: list[float] = []
+    for url in ("ftp://example.invalid/chat", "htp://api.example.test/v1", "http:///v1"):
+        with pytest.raises(ConfigError, match=r"^endpoint_url is not an http\(s\) URL"):
+            HttpProvider(url, session=Session(), sleep=sleeps.append)
+    for url in ("http://api.example.test:99999/v1", "http://api.example.test:abc/v1"):
+        with pytest.raises(ConfigError, match="^endpoint_url .*[Pp]ort"):
+            HttpProvider(url, session=Session(), sleep=sleeps.append)
+    assert posts == [] and sleeps == []
 
 
 def test_default_provider_never_imports_requests(serve):

@@ -269,6 +269,10 @@ def _parse_cat5(text: str) -> int:
                     "and understandable", 2)
       for negation in ("isn't remotely a", "nothing like a", "not even close to a",
                        "rather than a", "instead of a")),
+    # bare "rather" and "instead" hedge a verdict; only "rather than" and
+    # "instead of" negate one
+    *((_parse_cat5, f"Class: {hedge} Perfect translation", 4)
+      for hedge in ("I would rather say", "rather a", "I would instead call it a")),
 ])
 def test_the_leftmost_answer_after_the_anchor_wins(parse, text, expected):
     if isinstance(expected, type):
