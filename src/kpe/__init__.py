@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports
 _EXPORTS = {
-    "alignment": "AlignmentMatrix TokenList align_pairs greedy_alignment render_heatmap "
-                 "tokenize",
+    "alignment": "AlignmentMatrix align_pairs greedy_alignment render_heatmap tokenize",
     "backend": "CompletionFailure CompletionResult FileCache GenParams HttpProvider "
                "MockFixtures MockProvider cache_key overlap_bucket request_digest run_batch "
                "trigram_overlap",

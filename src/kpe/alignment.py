@@ -4,13 +4,14 @@ The tokenizer splits on whitespace, detaches leading/trailing punctuation
 as their own tokens, and splits CJK runs per character. The aligner asks a
 provider for one similarity percentage per (source token, translation
 token) via the kpe_token_align template. align_pairs is its one entry
-point: one prompt per pair and every pair of a call in one run_batch (a
-single pair is a one-item list). It parses the response matrix and scales
-to [0, 1]; out-of-range cells are clamped and counted rather than failing
-the whole matrix. A pair that fails gets its own error in its slot; the
-others still align. The heatmap is a deterministic, self-contained SVG:
-one rect per cell on a white-to-black linear scale, axis labels, and the
-exact score as hover text.
+point, from (source, translation) sentence pairs to matrices: it splits
+each sentence with tokenize, sends one prompt per pair and every pair of
+a call in one run_batch (a single pair is a one-item list). It parses
+the response matrix and scales to [0, 1]; out-of-range cells are clamped
+and counted rather than failing the whole matrix. A pair that fails gets
+its own error in its slot; the others still align. The heatmap is a
+deterministic, self-contained SVG: one rect per cell on a white-to-black
+linear scale, axis labels, and the exact score as hover text.
 """
 
 from __future__ import annotations
@@ -57,24 +58,11 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-@dataclass(frozen=True)
-class TokenList:
-    tokens: tuple[str, ...]
+def tokenize(sentence: str) -> tuple[str, ...]:
+    """Whitespace split, punctuation detached at chunk edges, CJK per character.
 
-    def __post_init__(self) -> None:
-        for tok in self.tokens:
-            if not tok or any(c.isspace() for c in tok):
-                raise ValueError(f"bad token {tok!r}")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
-def tokenize(sentence: str) -> TokenList:
-    """Whitespace split, punctuation detached at chunk edges, CJK per character."""
+    A blank sentence raises EmptyInputError, so the tuple is never empty.
+    """
     if not sentence.strip():
         raise EmptyInputError("cannot tokenize an empty sentence")
     tokens: list[str] = []
@@ -104,7 +92,7 @@ def tokenize(sentence: str) -> TokenList:
         if buffer:
             tokens.append(buffer)
         tokens.extend(trailing)
-    return TokenList(tokens=tuple(tokens))
+    return tuple(tokens)
 
 
 @dataclass(frozen=True)
@@ -117,6 +105,8 @@ class AlignmentMatrix:
     clamped: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.src_tokens or not self.mt_tokens:
+            raise ValueError("alignment needs at least one token on each axis")
         if len(self.cells) != len(self.src_tokens):
             raise ValueError("row count does not match source tokens")
         for row in self.cells:
@@ -160,29 +150,33 @@ def _parse_matrix_text(
 
 
 def align_pairs(
-    pairs: list[tuple[TokenList, TokenList]],
+    pairs: list[tuple[str, str]],
     provider,
     cache: FileCache | None = None,
     *,
     params: GenParams,
     max_in_flight: int = 4,
 ) -> list[AlignmentMatrix | KpeError]:
-    """Elicit each (source, translation) pair's similarity matrix in one run_batch.
+    """Elicit each (source, translation) sentence pair's similarity matrix in one batch.
 
-    Every pair gets one prompt; results come back in input order. A pair
-    that cannot be aligned gets its own KpeError in its slot: an empty axis,
-    an axis over MAX_AXIS_TOKENS or a grid over MAX_GRID_CELLS (no prompt is
+    Both sentences of a pair are split with tokenize, and every pair gets
+    one prompt; results come back in input order. A pair that cannot be
+    aligned gets its own KpeError in its slot: a blank sentence, an axis
+    over MAX_AXIS_TOKENS or a grid over MAX_GRID_CELLS (no prompt is
     sent), the provider's error, or a malformed matrix.
     """
     template = builtin_templates().get("kpe_token_align")
     results: list[AlignmentMatrix | KpeError | None] = [None] * len(pairs)
-    asked: list[int] = []
+    asked: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
     prompts = []
-    for i, (src_tokens, mt_tokens) in enumerate(pairs):
+    for i, (src_text, mt_text) in enumerate(pairs):
+        try:
+            src_tokens, mt_tokens = tokenize(src_text), tokenize(mt_text)
+        except EmptyInputError as exc:
+            results[i] = exc
+            continue
         n_src, n_mt = len(src_tokens), len(mt_tokens)
-        if n_src == 0 or n_mt == 0:
-            results[i] = EmptyInputError("alignment needs at least one token on each axis")
-        elif n_src > MAX_AXIS_TOKENS or n_mt > MAX_AXIS_TOKENS:
+        if n_src > MAX_AXIS_TOKENS or n_mt > MAX_AXIS_TOKENS:
             results[i] = TooManyTokensError(
                 f"axis limit is {MAX_AXIS_TOKENS} tokens, got {n_src} x {n_mt}"
             )
@@ -191,20 +185,19 @@ def align_pairs(
                 f"{n_src} x {n_mt} = {n_src * n_mt} cells exceeds {MAX_GRID_CELLS}"
             )
         else:
-            asked.append(i)
+            asked.append((i, src_tokens, mt_tokens))
             prompts.append(render_template(
                 template,
                 {
-                    "source_seg": render_token_list(src_tokens.tokens),
-                    "target_seg": render_token_list(mt_tokens.tokens),
+                    "source_seg": render_token_list(src_tokens),
+                    "target_seg": render_token_list(mt_tokens),
                 },
             ))
     outcomes = run_batch(provider, cache, prompts, params, max_in_flight)
-    for i, outcome in zip(asked, outcomes):
+    for (i, src_tokens, mt_tokens), outcome in zip(asked, outcomes):
         if isinstance(outcome, CompletionFailure):
             results[i] = outcome.exception
             continue
-        src_tokens, mt_tokens = pairs[i]
         try:
             cells, clamped = _parse_matrix_text(outcome.text, len(src_tokens), len(mt_tokens))
         except (MatrixShapeError, ValueParseError) as exc:
@@ -213,8 +206,8 @@ def align_pairs(
         if clamped:
             log.warning("clamped %d alignment cells into [0, 1]", clamped)
         results[i] = AlignmentMatrix(
-            src_tokens=src_tokens.tokens,
-            mt_tokens=mt_tokens.tokens,
+            src_tokens=src_tokens,
+            mt_tokens=mt_tokens,
             cells=cells,
             clamped=clamped,
         )

@@ -20,8 +20,9 @@ template: template_id, version, placeholders (sorted), and schema, an
 object of kind, classes (null unless categorical), lo and hi.
 
 Exit codes: 0 success; 1 config or IO errors (one `error: ...` line on
-stderr), provider unreachable (nothing scored or aligned, and a provider
-error among the failures), or an interrupt (`Aborted!`); 2 a usage error
+stderr; for align also an id that holds a path separator), provider
+unreachable (nothing scored or aligned, and a provider error among the
+failures, told by its type), or an interrupt (`Aborted!`); 2 a usage error
 (an unknown command or flag, a flag value of the wrong type or choice, or
 a missing command or required flag), reported on stderr before anything
 runs, or finished but the scoring error rate exceeded the threshold, or
@@ -80,8 +81,8 @@ from .prompting import builtin_templates
 
 PROVIDERS = ("http", "mock")
 
-# A run that produced nothing and failed with one of these errors exits 1.
-_PROVIDER_UNREACHABLE = ("TransportError", "AuthError", "RateLimitError")
+# A run that produced nothing and failed with an error of one of these types exits 1.
+_PROVIDER_UNREACHABLE = frozenset({"TransportError", "AuthError", "RateLimitError"})
 
 
 @dataclass
@@ -384,8 +385,9 @@ def score(config_path, **flags) -> None:
     _write_json(out_dir / "run_summary.json", summary)
 
     if total and not any(t.n_parsed for t in tables.values()):
-        notes = [s.error or "" for t in tables.values() for s in t.scores.values()]
-        if any(f": {kind}: " in note for note in notes for kind in _PROVIDER_UNREACHABLE):
+        # a note is "stage: ErrorType: message", and no stage holds ": "
+        kinds = {s.error.split(": ", 2)[1] for t in tables.values() for s in t.scores.values()}
+        if not _PROVIDER_UNREACHABLE.isdisjoint(kinds):
             _fail("provider unreachable: no pair scored; see score files for details")
     rate = (errored / total) if total else 0.0
     if rate > cfg.error_rate_threshold:
@@ -537,35 +539,30 @@ def _run_model_id(scores_dir: str) -> str:
 
 def align(config_path, lp, system_id, seg_ids, **flags) -> None:
     """Render token-alignment heatmaps for chosen (system, segment) pairs."""
-    from .alignment import align_pairs, render_heatmap, tokenize
+    from .alignment import align_pairs, render_heatmap
 
+    for name in (system_id, *seg_ids):  # each names part of a file in --out
+        if os.sep in name or (os.altsep and os.altsep in name):
+            _fail(f"{name!r} holds a path separator, so it cannot name an output file")
     cfg, _, dataset, provider, cache = _start_run(config_path, flags, scoring=False)
     for seg_id in seg_ids:
         if not dataset.has_output(lp, system_id, seg_id):
             _fail(f"no output for {lp}/{system_id}/{seg_id}")
 
     out_dir = _out_dir(cfg.out)
-    tokens = []  # per --seg: (source, translation) tokens, or the error tokenizing them
-    for seg_id in seg_ids:
-        segment = dataset.get_segment(lp, seg_id)
-        output = dataset.get_output(lp, system_id, seg_id)
-        try:
-            tokens.append((tokenize(segment.src_text), tokenize(output.mt_text)))
-        except KpeError as exc:
-            tokens.append(exc)
+    pairs = [
+        (dataset.get_segment(lp, seg_id).src_text,
+         dataset.get_output(lp, system_id, seg_id).mt_text)
+        for seg_id in seg_ids
+    ]
     try:
-        aligned = iter(align_pairs(
-            [pair for pair in tokens if not isinstance(pair, KpeError)],
-            provider,
-            cache,
-            params=cfg.gen_params(),
-            max_in_flight=cfg.max_in_flight,
-        ))
+        aligned = align_pairs(
+            pairs, provider, cache, params=cfg.gen_params(), max_in_flight=cfg.max_in_flight
+        )
     except (KpeError, OSError) as exc:
         _fail(str(exc))
     failures = []
-    for seg_id, pair in zip(seg_ids, tokens):
-        matrix = pair if isinstance(pair, KpeError) else next(aligned)
+    for seg_id, matrix in zip(seg_ids, aligned):
         if isinstance(matrix, KpeError):
             print(f"error: {lp}/{system_id}/{seg_id}: {matrix}", file=sys.stderr)
             failures.append(type(matrix).__name__)
@@ -583,7 +580,7 @@ def align(config_path, lp, system_id, seg_ids, **flags) -> None:
             "clamped": matrix.clamped,
         })
         print(f"wrote {base}.svg", file=sys.stderr)
-    if len(failures) == len(seg_ids) and any(kind in _PROVIDER_UNREACHABLE for kind in failures):
+    if len(failures) == len(seg_ids) and not _PROVIDER_UNREACHABLE.isdisjoint(failures):
         _fail("provider unreachable: no heatmap written")
     if failures:
         sys.exit(2)

@@ -338,13 +338,13 @@ def test_criterion_08_chain_structure(toy):
 
 def test_criterion_09_alignment_invariants():
     with criterion(9, "self-alignment peaks on the diagonal; SVG is stable XML"):
-        tokens = tokenize("He came home today.")
-        (matrix,) = align_pairs([(tokens, tokens)], MockProvider(), params=PARAMS)
+        text = "He came home today."
+        (matrix,) = align_pairs([(text, text)], MockProvider(), params=PARAMS)
         for row in matrix.cells:
             for value in row:
                 assert 0.0 <= value <= 1.0
         links = greedy_alignment(matrix)
-        assert [(i, j) for i, j, _ in links] == [(k, k) for k in range(len(tokens))]
+        assert [(i, j) for i, j, _ in links] == [(k, k) for k in range(len(tokenize(text)))]
         svg = render_heatmap(matrix)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")

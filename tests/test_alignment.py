@@ -6,11 +6,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpe.alignment import (
     MAX_GRID_CELLS,
     AlignmentMatrix,
-    TokenList,
     _parse_matrix_text,
     align_pairs,
     greedy_alignment,
@@ -26,6 +27,7 @@ from kpe.errors import (
     TransportError,
     ValueParseError,
 )
+from kpe.prompting import parse_token_list, render_token_list
 
 GOLDEN = Path(__file__).parent / "data" / "golden_heatmap.svg"
 PARAMS = GenParams(model_id="mock-1")
@@ -46,21 +48,21 @@ def golden_matrix() -> AlignmentMatrix:
 # tokenizer -------------------------------------------------------------------
 
 def test_tokenize_detaches_edge_punctuation():
-    assert tokenize("Hello, world!").tokens == ("Hello", ",", "world", "!")
+    assert tokenize("Hello, world!") == ("Hello", ",", "world", "!")
 
 
 def test_tokenize_splits_cjk_per_character():
-    assert tokenize("他 今天 回家").tokens == ("他", "今", "天", "回", "家")
-    assert tokenize("abc你好").tokens == ("abc", "你", "好")
+    assert tokenize("他 今天 回家") == ("他", "今", "天", "回", "家")
+    assert tokenize("abc你好") == ("abc", "你", "好")
 
 
 def test_tokenize_nested_punctuation():
-    assert tokenize("(foo).").tokens == ("(", "foo", ")", ".")
+    assert tokenize("(foo).") == ("(", "foo", ")", ".")
 
 
 def test_tokenize_keeps_interior_punctuation():
     # only chunk-edge punctuation is detached
-    assert tokenize("don't stop").tokens == ("don't", "stop")
+    assert tokenize("don't stop") == ("don't", "stop")
 
 
 def test_tokenize_empty_input():
@@ -68,11 +70,25 @@ def test_tokenize_empty_input():
         tokenize("   ")
 
 
-def test_token_list_rejects_whitespace_tokens():
-    with pytest.raises(ValueError):
-        TokenList(tokens=("ok", "not ok"))
-    with pytest.raises(ValueError):
-        TokenList(tokens=("",))
+# Sentences assembled from tokenizer-relevant pieces and arbitrary text.
+_SENTENCE_PIECES = st.sampled_from([
+    " ", "  ", "\t", "\n", "\r\n", "\u3000", "\x85", "\u2028", ".", ",", "!", "(", ")", "'",
+    "«", "»", "—", "他", "今天", "回家", "abc", "don't", "1.", "2. x", "%",
+])
+_SENTENCES = st.lists(
+    st.one_of(_SENTENCE_PIECES, st.text(max_size=6)), max_size=12
+).map("".join).filter(str.strip)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(sentence=_SENTENCES)
+def test_tokenize_gives_nonempty_whitespace_free_tokens_that_survive_a_token_list(sentence):
+    tokens = tokenize(sentence)
+    assert type(tokens) is tuple and tokens
+    for token in tokens:
+        assert token and not any(c.isspace() for c in token)
+    # the mock reads its token lists back from the rendered prompt
+    assert tuple(parse_token_list(render_token_list(tokens))) == tokens
 
 
 # matrix parsing --------------------------------------------------------------
@@ -112,14 +128,18 @@ def test_matrix_shape_validation():
         AlignmentMatrix(src_tokens=("a",), mt_tokens=("x", "y"), cells=((0.5,),))
     with pytest.raises(ValueError, match="outside"):
         AlignmentMatrix(src_tokens=("a",), mt_tokens=("x",), cells=((1.5,),))
+    with pytest.raises(ValueError, match="at least one token"):
+        AlignmentMatrix(src_tokens=(), mt_tokens=("x",), cells=())
+    with pytest.raises(ValueError, match="at least one token"):
+        AlignmentMatrix(src_tokens=("a",), mt_tokens=(), cells=((),))
 
 
 # elicitation -----------------------------------------------------------------
 
 def test_align_one_pair_mock_self_alignment():
-    tokens = tokenize("He came home today.")
-    (matrix,) = align_pairs([(tokens, tokens)], MockProvider(), params=PARAMS)
-    n = len(tokens)
+    text = "He came home today."
+    (matrix,) = align_pairs([(text, text)], MockProvider(), params=PARAMS)
+    n = len(tokenize(text))
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -129,7 +149,7 @@ def test_align_one_pair_mock_self_alignment():
 
 
 def test_align_one_pair_grid_guard():
-    big = TokenList(tokens=tuple(f"t{i}" for i in range(33)))
+    big = " ".join(f"t{i}" for i in range(33))
     assert 33 * 33 > MAX_GRID_CELLS
     provider = MockProvider()
     (result,) = align_pairs([(big, big)], provider, params=PARAMS)
@@ -174,12 +194,8 @@ class TrackingProvider(MockProvider):
                 self.active -= 1
 
 
-def _pair(src: str, mt: str) -> tuple[TokenList, TokenList]:
-    return tokenize(src), tokenize(mt)
-
-
 def test_align_pairs_sends_each_unique_prompt_once_within_max_in_flight(tmp_path):
-    unique = [_pair(f"he came home {i} .", f"he arrived home {i} .") for i in range(5)]
+    unique = [(f"he came home {i} .", f"he arrived home {i} .") for i in range(5)]
     pairs = unique + [unique[0], unique[3], unique[0]]
     provider = TrackingProvider()
     results = align_pairs(
@@ -192,7 +208,7 @@ def test_align_pairs_sends_each_unique_prompt_once_within_max_in_flight(tmp_path
 
 
 def test_align_pairs_warm_rerun_makes_no_calls(tmp_path):
-    pairs = [_pair(f"he came home {i} .", f"he arrived home {i} .") for i in range(4)]
+    pairs = [(f"he came home {i} .", f"he arrived home {i} .") for i in range(4)]
     cold = align_pairs(pairs, MockProvider(), FileCache(tmp_path / "cache"), params=PARAMS)
     provider = MockProvider()
     warm = align_pairs(pairs, provider, FileCache(tmp_path / "cache"), params=PARAMS)
@@ -201,15 +217,15 @@ def test_align_pairs_warm_rerun_makes_no_calls(tmp_path):
 
 
 def test_align_pairs_failures_stay_in_their_slots():
-    big = TokenList(tokens=tuple(f"t{i}" for i in range(33)))
-    clean = [_pair("he came .", "he arrived ."), _pair("a b", "a c")]
+    big = " ".join(f"t{i}" for i in range(33))
+    clean = [("he came .", "he arrived ."), ("a b", "a c")]
     pairs = [
         clean[0],
         (big, big),
-        _pair("down we go", "down we went"),
-        (TokenList(tokens=()), tokenize("x")),
-        _pair("garble this", "garble that"),
-        _pair("junk here", "junk there"),
+        ("down we go", "down we went"),
+        ("   ", "x"),
+        ("garble this", "garble that"),
+        ("junk here", "junk there"),
         clean[1],
     ]
     provider = TrackingProvider()
@@ -235,8 +251,8 @@ def test_align_pairs_a_non_finite_cell_fails_only_its_pair():
                     return f"{cell}, 5\n3, 4"
             return super().complete(prompt, params)
 
-    pairs = [_pair("nan here", "nan there"), _pair("inf here", "inf there"),
-             _pair("he came .", "he arrived .")]
+    pairs = [("nan here", "nan there"), ("inf here", "inf there"),
+             ("he came .", "he arrived .")]
     results = align_pairs(pairs, NonFinite(), params=PARAMS)
     for result in results[:2]:
         assert isinstance(result, ValueParseError)

@@ -466,6 +466,35 @@ def test_score_error_rate_gate(tmp_path):
     assert summary["estimators"]["gemba"]["errored"] == 2
 
 
+@pytest.mark.parametrize("answer, code, message", [
+    (None, 1, "error: provider unreachable: no pair scored; see score files for details\n"),
+    # the answer quotes an error type, but the pair failed to parse, not to reach the provider
+    ("Class: : TransportError: I cannot rate this.", 2, "error rate 100.0% exceeds threshold"),
+], ids=["transport-error", "answer-quoting-an-error-type"])
+def test_score_exits_1_only_when_the_provider_failed_every_pair(
+    tmp_path, monkeypatch, answer, code, message
+):
+    write_toy_corpus(tmp_path)
+    if answer is None:
+        _provider_down(monkeypatch)
+    else:
+        monkeypatch.setattr(MockProvider, "complete", lambda self, prompt, params: answer)
+    cfg = {
+        "segments": str(tmp_path / "segments.tsv"),
+        "outputs": str(tmp_path / "outputs.tsv"),
+        "provider": "mock",
+        "mock_fixtures": str(tmp_path / "fixtures.json"),
+        "out": str(tmp_path / "out"),
+    }
+    result = CliRunner().invoke(
+        main, ["score", "--config", write_config(tmp_path, cfg), "--estimators", "gemba"]
+    )
+    assert result.exit_code == code
+    assert message in result.stderr
+    if answer is not None:
+        assert "provider unreachable" not in result.stderr
+
+
 def test_score_rerun_hits_cache(tmp_path):
     cfg = write_tiny_corpus(tmp_path)
     cfg["cache_dir"] = str(tmp_path / "cache")
@@ -836,6 +865,29 @@ def test_align_provider_unreachable_exits_1(tmp_path, monkeypatch):
         "error: provider unreachable: no heatmap written",
     ]
     assert list((tmp_path / "out").glob("*.svg")) == []
+
+
+@pytest.mark.parametrize("flag", ["--system", "--seg"])
+def test_align_refuses_an_id_holding_a_path_separator(tmp_path, monkeypatch, flag):
+    cfg = write_tiny_corpus(tmp_path)
+    bad = f"team{os.sep}x"
+    system, seg = (bad, "s1") if flag == "--system" else ("sysA", bad)
+    with open(cfg["outputs"], "a", encoding="utf-8") as fh:
+        fh.write(f"de-en\t{system}\t{seg}\tthe dog runs\n")
+    with open(cfg["segments"], "a", encoding="utf-8") as fh:
+        fh.write(f"de-en\t{bad}\tder hund\n")
+    sent = []
+    monkeypatch.setattr(MockProvider, "complete", lambda self, prompt, params: sent.append(prompt))
+    result = CliRunner().invoke(main, [
+        "align", "--config", write_config(tmp_path, cfg),
+        "--lp", "de-en", "--system", system, "--seg", seg,
+    ])
+    assert sent == []
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and repr(bad) in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_align_unknown_segment_exits_1(tmp_path):
