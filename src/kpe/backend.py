@@ -11,13 +11,16 @@ aspect that estimator is graded on, from `kpe.prompting.ESTIMATORS`.
 `cached_complete` is its one-prompt case. The cache keys responses by a
 content digest over (model, template id, template version, final prompt
 text, generation parameters), a SHA-256 from the interpreter's built-in
-module, so no run loads OpenSSL for it. Cache entries are plain JSON
-files, written atomically in one binary write, that store the request's
-own fields next to the answer; a read is a hit only if the stored digest
-and fields equal the request's, and anything that fails the check is
-quarantined and treated as a miss. A fully cached run loads neither
-concurrent.futures nor logging: the thread pool is imported for the first
-batch with a miss, logging for the first quarantine.
+module, so no run loads OpenSSL for it. A cache entry is a JSON object
+that stores the request's own fields next to the answer. Entries go to 16
+append-only logs, one per first hex digit of the digest, one line each,
+appended in one write; so a cold run creates 16 files, not one per answer.
+A read is a hit only if the stored digest and fields equal the request's,
+and anything that fails the check is quarantined and treated as a miss.
+Entries of the older one-file-per-entry layout are still read. A fully
+cached run loads neither concurrent.futures nor logging: the thread pool
+is imported for the first batch with a miss, logging for the first
+quarantine.
 
 `run_batch` reads its prompts by index from any sequence, so a caller can
 render each prompt when it is read and no batch holds every prompt text at
@@ -42,6 +45,7 @@ import tempfile
 import threading
 import time
 import unicodedata
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -153,20 +157,65 @@ def request_digest(prompt: RenderedPrompt, params: GenParams) -> str:
 
 # cache ---------------------------------------------------------------------
 
+# One log per first hex digit of the digest: a cold run creates 16 files.
+_LOG_NAMES = "0123456789abcdef"
+
+
+class _Log:
+    """A log as one cache object indexed it: its read descriptor and line spans."""
+
+    __slots__ = ("fd", "end", "spans")
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.end = 0  # just past the last complete line indexed
+        # int(digest, 16) -> offset << 32 | length of its entry's JSON; two ints
+        # take about half the memory of a hex string and a tuple
+        self.spans: dict[int, int] = {}
+
+
+def _close_descriptors(readers: dict, writers: dict, retired: list) -> None:
+    for fd in [*(log.fd for log in readers.values()), *writers.values(), *retired]:
+        os.close(fd)
+    readers.clear()
+    writers.clear()
+    retired.clear()
+
+
 class FileCache:
-    """Content-addressed response cache: <dir>/<digest[:2]>/<digest>.json."""
+    """Content-addressed response cache in 16 append-only logs, <dir>/<h>.log.
+
+    h is the digest's first hex digit. A line is `<digest> <entry JSON>\\n`,
+    appended in one write, and the last line for a digest wins. A log is
+    indexed (digest -> offset and length) when a get first touches it,
+    and its new tail is read on a miss. Each indexed log stays open until
+    close(), so a concurrent gc, which replaces the file, never changes
+    what a read finds. Entries of the per-entry layout this replaced,
+    <dir>/<dd>/<digest>.json, are still read, and never written.
+    """
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
         self._root = str(self.cache_dir)
         self._lock = threading.Lock()
+        self._readers: dict[str, _Log] = {}
+        self._writers: dict[str, int] = {}
+        # writers of logs since replaced, closed with the rest: a thread may still hold one
+        self._retired: list[int] = []
+        self._legacy_shards: dict[str, bool] = {}
+        weakref.finalize(self, _close_descriptors, self._readers, self._writers, self._retired)
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.corruptions = 0
 
-    def _path(self, digest: str) -> str:
-        return f"{self._root}/{digest[:2]}/{digest}.json"
+    def close(self) -> None:
+        """Close the logs' descriptors; a later get or put opens them again."""
+        with self._lock:
+            _close_descriptors(self._readers, self._writers, self._retired)
+
+    def _log_path(self, digest: str) -> str:
+        return f"{self._root}/{digest[0]}.log"
 
     @staticmethod
     def _request_fields(digest: str, prompt: RenderedPrompt, params: GenParams) -> dict:
@@ -182,88 +231,183 @@ class FileCache:
             "stop": list(params.stop) if params.stop is not None else None,
         }
 
+    def _answer(self, raw: bytes, digest: str, prompt: RenderedPrompt,
+                params: GenParams) -> str | None:
+        """The stored answer if raw is a JSON object holding this request, else None."""
+        try:
+            obj = json.loads(raw.decode("utf-8"))  # json.loads(bytes) would take UTF-16 too
+            if isinstance(obj["completion_text"], str) and all(
+                obj[k] == v for k, v in self._request_fields(digest, prompt, params).items()
+            ):
+                return obj["completion_text"]
+        except (ValueError, KeyError, TypeError):  # bad UTF-8 or JSON, no object, no field
+            pass
+        return None
+
     def get(self, digest: str, prompt: RenderedPrompt, params: GenParams) -> str | None:
         """Return the cached answer, or None. Corrupt entries are quarantined.
 
         A hit is a JSON object that holds this request's digest and fields,
-        and a string completion_text.
+        and a string completion_text. A corrupt log line is dropped from
+        the index, so the answer asked again, appended last, wins.
         """
-        path = self._path(digest)
-        try:
-            # An entry can vanish at any moment (a concurrent `cache gc`, or
-            # another run's quarantine), so a missing file is a miss however
-            # late it went missing. Other OSErrors still raise.
-            with open(path, "rb", buffering=0) as fh:  # unbuffered: read() takes the whole file
-                raw = fh.read()
-            obj = json.loads(raw.decode("utf-8"))  # json.loads(bytes) would take UTF-16 too
-            valid = isinstance(obj["completion_text"], str) and all(
-                obj[k] == v for k, v in self._request_fields(digest, prompt, params).items()
-            )
-        except FileNotFoundError:
+        with self._lock:
+            log = self._readers.get(digest[0])
+            if log is None:
+                try:
+                    log = _Log(os.open(self._log_path(digest), os.O_RDONLY))
+                except FileNotFoundError:
+                    pass
+                else:
+                    self._readers[digest[0]] = log
+            key, span = int(digest, 16), None
+            if log is not None:
+                span = log.spans.get(key)
+                if span is None:  # another writer's answer, or the log's first read
+                    self._index_tail(log)
+                    span = log.spans.get(key)
+        if span is None:
+            return self._get_legacy(digest, prompt, params)
+        raw = os.pread(log.fd, span & 0xFFFFFFFF, span >> 32)
+        text = self._answer(raw, digest, prompt, params)
+        if text is None:
             with self._lock:
-                self.misses += 1
-            return None
-        except (ValueError, KeyError, TypeError):  # bad UTF-8 or JSON, no object, no field
-            valid = False
-        if not valid:
-            self._quarantine(path)
+                if log.spans.get(key) == span:
+                    del log.spans[key]
+            self._count_corruption(f"{digest[0]}.log: {digest}")
             return None
         with self._lock:
             self.hits += 1
-        return obj["completion_text"]
+        return text
 
-    def _quarantine(self, path: str) -> None:
+    @staticmethod
+    def _index_tail(log: _Log) -> None:
+        """Index the lines completed since log.end.
+
+        An unterminated last line is a write in progress, not a corruption.
+        """
+        size = os.fstat(log.fd).st_size
+        if size <= log.end:
+            return
+        data = os.pread(log.fd, size - log.end, log.end)
+        spans, base, start = log.spans, log.end, 0
+        while (stop := data.find(b"\n", start)) >= 0:
+            if stop - start > 65 and data[start + 64] == 0x20:
+                try:
+                    key = int(data[start:start + 64], 16)
+                except ValueError:  # not a digest: no request can ask for this line
+                    pass
+                else:
+                    spans[key] = (base + start + 65) << 32 | (stop - start - 65)
+            start = stop + 1
+        log.end = base + start
+
+    def _get_legacy(self, digest: str, prompt: RenderedPrompt, params: GenParams) -> str | None:
+        """Read <dir>/<dd>/<digest>.json; a corrupt one is renamed to .json.corrupt."""
+        shard = f"{self._root}/{digest[:2]}"
+        found = self._legacy_shards.get(shard)
+        if found is None:
+            found = self._legacy_shards[shard] = os.path.isdir(shard)
+        if found:
+            path = f"{shard}/{digest}.json"
+            try:
+                # An entry can vanish at any moment (a concurrent `cache gc`, or
+                # another run's quarantine), so a missing file is a miss however
+                # late it went missing. Other OSErrors still raise.
+                with open(path, "rb", buffering=0) as fh:  # unbuffered: one read, whole file
+                    raw = fh.read()
+            except FileNotFoundError:
+                found = False
+        if not found:
+            with self._lock:
+                self.misses += 1
+            return None
+        text = self._answer(raw, digest, prompt, params)
+        if text is None:
+            try:
+                os.replace(path, f"{path}.corrupt")
+            except OSError:
+                pass
+            self._count_corruption(os.path.basename(path))
+            return None
+        with self._lock:
+            self.hits += 1
+        return text
+
+    def _count_corruption(self, name: str) -> None:
         import logging  # here, so that a run without corrupt entries never loads it
 
-        try:
-            os.replace(path, f"{path}.corrupt")
-        except OSError:
-            pass
         with self._lock:
             self.corruptions += 1
             self.misses += 1
-        logging.getLogger(__name__).warning(
-            "quarantined corrupt cache entry %s", os.path.basename(path)
-        )
+        logging.getLogger(__name__).warning("quarantined corrupt cache entry %s", name)
 
     def put(self, digest: str, prompt: RenderedPrompt, params: GenParams, text: str) -> None:
-        """Atomic write of the request and its answer as one JSON object: temp file, then rename."""
+        """Append the request and its answer as one line, `<digest> <JSON>\\n`, in one write."""
         entry = self._request_fields(digest, prompt, params)
         entry.update(completion_text=text, created_at=time.time())
-        data = json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
-        path = self._path(digest)
-        shard = os.path.dirname(path)
-        try:
-            fd, tmp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
-        except FileNotFoundError:  # the shard's first entry, or a shard removed since
-            os.makedirs(shard, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
-        try:
-            with open(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        line = b"%s %s\n" % (digest.encode("ascii"),
+                             json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+        fd = self._writer(digest)
+        written = os.write(fd, line)
+        if written != len(line):
+            with self._lock:  # the next put checks the torn line's tail again
+                if self._writers.get(digest[0]) == fd:
+                    self._retired.append(self._writers.pop(digest[0]))
+            raise OSError(f"short write to cache log {self._log_path(digest)}: "
+                          f"{written} of {len(line)} bytes")
         with self._lock:
             self.writes += 1
 
-    def gc(self, max_age_s: float, now: float | None = None) -> int:
-        """Delete entries, quarantined files and orphaned temp files older than max_age_s.
+    def _writer(self, digest: str) -> int:
+        """The log's append descriptor, opened again if the log was removed or replaced."""
+        fd = self._writers.get(digest[0])
+        if fd is not None and os.fstat(fd).st_nlink:
+            return fd
+        with self._lock:
+            current = self._writers.get(digest[0])
+            if current is not None and current != fd:  # another thread opened it first
+                return current
+            path = self._log_path(digest)
+            try:
+                new = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
+            except FileNotFoundError:  # the cache's first entry, or a cache dir removed since
+                os.makedirs(self._root, exist_ok=True)
+                new = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
+            size = os.fstat(new).st_size
+            # a writer killed mid-line leaves a torn tail: end it, so it swallows no entry
+            if size and os.pread(new, 1, size - 1) != b"\n":
+                os.write(new, b"\n")
+            if fd is not None:
+                self._retired.append(fd)
+            self._writers[digest[0]] = new
+        return new
 
-        Age is by mtime. A temp file is left behind when a put is killed
-        before its rename; a younger one may be a put still in progress.
+    def gc(self, max_age_s: float, now: float | None = None) -> int:
+        """Remove entries older than max_age_s; return how many went.
+
+        Each log is rewritten through a temp file and os.replace, keeping
+        the lines created at or after the cutoff. A line that no read would
+        serve goes too, and counts: one that is not `<digest> <entry JSON>`,
+        whose stored request does not hash to its digest, or whose answer
+        is not text. So gc clears what a corruption storm left. Legacy
+        entries, quarantined files and orphaned temp files are aged by
+        mtime (a temp file is left behind when a gc, or a put of the older
+        layout, was killed before its rename; a younger one may be in
+        progress).
+
+        A read that runs during a gc still finds hits or misses. An answer
+        that another process appends to a log after gc has read it and
+        before the replace is lost, and asked again on the next run; its
+        later answers go to the new log.
         """
         if now is None:
             now = time.time()
         cutoff = now - max_age_s
-        removed = 0
         if not self.cache_dir.exists():
             return 0
-        for path in sorted(self.cache_dir.glob("*/*")):
+        removed = sum(self._gc_log(f"{self._root}/{h}.log", cutoff) for h in _LOG_NAMES)
+        for path in sorted([*self.cache_dir.glob("*/*"), *self.cache_dir.glob("*.tmp")]):
             if path.suffix not in (".json", ".corrupt", ".tmp"):
                 continue
             try:
@@ -273,6 +417,46 @@ class FileCache:
             except OSError:
                 continue
         return removed
+
+    def _gc_log(self, path: str, cutoff: float) -> int:
+        try:
+            with open(path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+        except FileNotFoundError:
+            return 0
+        torn = lines.pop()  # b"" when the log ends in a newline
+        kept = [line for line in lines if self._keeps(line, cutoff)]
+        if len(kept) == len(lines) and not torn:
+            return 0
+        fd, tmp_name = tempfile.mkstemp(dir=self._root, suffix=".tmp")
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(b"".join(line + b"\n" for line in kept))
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+        return sum(1 for line in lines if line) + bool(torn) - len(kept)
+
+    def _keeps(self, line: bytes, cutoff: float) -> bool:
+        """Whether a log line is created at or after cutoff and a hit for the request it holds."""
+        if len(line) < 66 or line[64] != 0x20:
+            return False
+        digest = line[:64].decode("latin-1")
+        try:
+            obj = json.loads(line[65:].decode("utf-8"))
+            stop = obj["stop"]
+            params = GenParams(obj["model_id"], obj["temperature"], obj["max_tokens"],
+                               None if stop is None else tuple(stop))
+            prompt = RenderedPrompt(obj["template_id"], obj["template_version"],
+                                    obj["final_text"], {})
+            fresh = obj["created_at"] >= cutoff and request_digest(prompt, params) == digest
+        except (ValueError, KeyError, TypeError, AttributeError):  # no entry, or a mistyped field
+            return False
+        return fresh and self._answer(line[65:], digest, prompt, params) is not None
 
 
 # http provider --------------------------------------------------------------

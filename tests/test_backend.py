@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -99,8 +102,54 @@ def _entry(digest_text: str = "hello") -> tuple[str, RenderedPrompt]:
     return request_digest(prompt, PARAMS), prompt
 
 
-def _entry_path(cache: FileCache, digest: str) -> Path:
+def _log_path(cache: FileCache, digest: str) -> Path:
+    return cache.cache_dir / f"{digest[0]}.log"
+
+
+def _log_lines(cache_dir: Path) -> list[bytes]:
+    """Every complete line of every log in cache_dir, without its newline."""
+    return [line for log in sorted(Path(cache_dir).glob("*.log"))
+            for line in log.read_bytes().split(b"\n")[:-1]]
+
+
+def _edit_entry(cache: FileCache, digest: str, edit) -> None:
+    """Rewrite the JSON of digest's log line through edit(raw bytes)."""
+    path = _log_path(cache, digest)
+    key = digest.encode("ascii")
+    lines = [key + b" " + edit(line[65:]) if line[:64] == key else line
+             for line in path.read_bytes().split(b"\n")[:-1]]
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+
+
+def _entry_json(digest: str, prompt: RenderedPrompt, text: str = ANSWER,
+                created_at: float = 1000.0) -> bytes:
+    """An entry's JSON, as put writes it."""
+    entry = {**FileCache._request_fields(digest, prompt, PARAMS),
+             "completion_text": text, "created_at": created_at}
+    return json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
+
+
+def _legacy_path(cache: FileCache, digest: str) -> Path:
     return cache.cache_dir / digest[:2] / f"{digest}.json"
+
+
+def _write_legacy(cache: FileCache, digest: str, data: bytes) -> Path:
+    """Write an entry in the one-file-per-entry layout that the logs replaced."""
+    path = _legacy_path(cache, digest)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+def _entries_starting(prefix: str, n: int) -> list[tuple[str, RenderedPrompt]]:
+    """n requests whose digests start with prefix; a one-digit prefix puts them in one log."""
+    found = []
+    for i in itertools.count():
+        digest, prompt = _entry(f"q{i}")
+        if digest.startswith(prefix):
+            found.append((digest, prompt))
+            if len(found) == n:
+                return found
 
 
 def test_cache_put_get_round_trip(tmp_path, monkeypatch):
@@ -110,7 +159,10 @@ def test_cache_put_get_round_trip(tmp_path, monkeypatch):
     cache.put(digest, prompt, PARAMS, ANSWER)
     assert cache.get(digest, prompt, PARAMS) == ANSWER
     assert (cache.hits, cache.misses, cache.writes) == (1, 0, 1)
-    assert json.loads(_entry_path(cache, digest).read_text(encoding="utf-8")) == {
+    key, entry = _log_path(cache, digest).read_bytes().split(b" ", 1)
+    assert key == digest.encode("ascii")
+    assert entry.endswith(b"}\n") and entry.count(b"\n") == 1
+    assert json.loads(entry) == {
         "request_digest": digest,
         "model_id": PARAMS.model_id,
         "template_id": prompt.template_id,
@@ -125,17 +177,25 @@ def test_cache_put_get_round_trip(tmp_path, monkeypatch):
 
 
 def test_cache_put_recreates_a_removed_shard(tmp_path):
+    # the log, and the cache dir holding it, removed while the cache holds the log open
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
     cache.put(digest, prompt, PARAMS, "first")
-    shard = _entry_path(cache, digest).parent
-    for leftover in shard.iterdir():
-        leftover.unlink()
-    shard.rmdir()
+    shutil.rmtree(cache.cache_dir)
     cache.put(digest, prompt, PARAMS, ANSWER)
     assert cache.get(digest, prompt, PARAMS) == ANSWER
-    assert [p.name for p in shard.iterdir()] == [f"{digest}.json"]
+    assert [p.name for p in cache.cache_dir.iterdir()] == [f"{digest[0]}.log"]
+    assert len(_log_lines(cache.cache_dir)) == 1
     assert cache.writes == 2
+
+
+def test_cache_last_line_for_a_digest_wins(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    digest, prompt = _entry()
+    cache.put(digest, prompt, PARAMS, "first")
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    assert FileCache(cache.cache_dir).get(digest, prompt, PARAMS) == ANSWER
+    assert len(_log_lines(cache.cache_dir)) == 2
 
 
 # written by the previous cache code, which re-hashed the stored fields on read
@@ -151,11 +211,11 @@ PARENT_PROMPT = RenderedPrompt(
 
 
 def test_cache_reads_and_rewrites_existing_entries_unchanged(tmp_path, monkeypatch):
+    # an entry in the per-entry layout is a hit; a put writes its bytes as a log line
     assert request_digest(PARENT_PROMPT, PARENT_PARAMS) == PARENT_DIGEST
-    stored = _entry_path(FileCache(PARENT_CACHE), PARENT_DIGEST).read_bytes()
+    stored = _legacy_path(FileCache(PARENT_CACHE), PARENT_DIGEST).read_bytes()
     old = FileCache(tmp_path / "old")
-    _entry_path(old, PARENT_DIGEST).parent.mkdir(parents=True)
-    _entry_path(old, PARENT_DIGEST).write_bytes(stored)
+    _write_legacy(old, PARENT_DIGEST, stored)
     got = old.get(PARENT_DIGEST, PARENT_PROMPT, PARENT_PARAMS)
     assert got == "Class: Mostly similar meaning"
     assert (old.hits, old.corruptions) == (1, 0)
@@ -163,7 +223,27 @@ def test_cache_reads_and_rewrites_existing_entries_unchanged(tmp_path, monkeypat
     new = FileCache(tmp_path / "new")
     monkeypatch.setattr(time, "time", lambda: 1786928612.027714)
     new.put(PARENT_DIGEST, PARENT_PROMPT, PARENT_PARAMS, got)
-    assert _entry_path(new, PARENT_DIGEST).read_bytes() == stored
+    assert _log_path(new, PARENT_DIGEST).read_bytes() == (
+        PARENT_DIGEST.encode("ascii") + b" " + stored + b"\n"
+    )
+
+
+def test_cache_serves_the_checked_in_legacy_cache_and_writes_no_legacy_file(tmp_path):
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(PARENT_CACHE, cache_dir)
+    before = sorted(p.relative_to(cache_dir) for p in cache_dir.rglob("*"))
+    cache = FileCache(cache_dir)
+    assert cache.get(PARENT_DIGEST, PARENT_PROMPT, PARENT_PARAMS) == (
+        "Class: Mostly similar meaning"
+    )
+    # a request of the same shard goes to its log, not to the shard's directory
+    ((digest, prompt),) = _entries_starting(PARENT_DIGEST[:2], 1)
+    assert cache.get(digest, prompt, PARAMS) is None
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    assert cache.get(digest, prompt, PARAMS) == ANSWER
+    assert (cache.hits, cache.misses, cache.corruptions) == (2, 1, 0)
+    after = sorted(p.relative_to(cache_dir) for p in cache_dir.rglob("*"))
+    assert after == sorted([*before, Path(f"{digest[0]}.log")])
 
 
 def test_digest_falls_back_to_hashlib_without_builtin_sha256():
@@ -190,10 +270,19 @@ def test_cache_miss_counts(tmp_path):
 
 
 def test_cache_sharded_layout(tmp_path):
+    # one log per first hex digit of the digest, and nothing else
     cache = FileCache(tmp_path / "cache")
-    digest, prompt = _entry()
-    cache.put(digest, prompt, PARAMS, ANSWER)
-    assert (tmp_path / "cache" / digest[:2] / f"{digest}.json").exists()
+    entries = [_entry(f"q{i}") for i in range(100)]
+    assert {digest[0] for digest, _ in entries} == set("0123456789abcdef")
+    for digest, prompt in entries:
+        cache.put(digest, prompt, PARAMS, ANSWER)
+    assert sorted(p.name for p in cache.cache_dir.iterdir()) == [
+        f"{h}.log" for h in "0123456789abcdef"
+    ]
+    assert all(p.is_file() for p in cache.cache_dir.iterdir())
+    for log in cache.cache_dir.iterdir():
+        assert {line[:1] for line in log.read_bytes().split(b"\n")[:-1]} == {log.name[0].encode()}
+    assert len(_log_lines(cache.cache_dir)) == 100
 
 
 def _set(key, value):
@@ -205,19 +294,37 @@ def _set(key, value):
     return edit
 
 
-@pytest.mark.parametrize("corrupt", [
+CORRUPTIONS = pytest.mark.parametrize("corrupt", [
     lambda raw: b"{ not json",
     lambda raw: raw.replace(b"Perfect", b"Perf\xffect"),  # invalid UTF-8
     lambda raw: b"[" + raw + b"]",  # a JSON list, not an object
     _set("completion_text", 5),  # digest and fields intact, the answer not text
     _set("request_digest", "0" * 64),
 ], ids=["not-json", "bad-utf8", "list", "answer-not-text", "digest-edited"])
+
+
+@CORRUPTIONS
 def test_corrupt_entry_quarantined(tmp_path, corrupt):
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
     cache.put(digest, prompt, PARAMS, ANSWER)
-    path = _entry_path(cache, digest)
-    path.write_bytes(corrupt(path.read_bytes()))
+    _edit_entry(cache, digest, corrupt)
+    assert cache.get(digest, prompt, PARAMS) is None
+    assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 1)
+    # the line left the index: asking again is a plain miss
+    assert cache.get(digest, prompt, PARAMS) is None
+    assert (cache.hits, cache.misses, cache.corruptions) == (0, 2, 1)
+    # the answer asked again is appended, and as the last line it wins
+    cache.put(digest, prompt, PARAMS, ANSWER)
+    assert cache.get(digest, prompt, PARAMS) == ANSWER
+    assert FileCache(cache.cache_dir).get(digest, prompt, PARAMS) == ANSWER
+
+
+@CORRUPTIONS
+def test_corrupt_legacy_entry_quarantined(tmp_path, corrupt):
+    cache = FileCache(tmp_path / "cache")
+    digest, prompt = _entry()
+    path = _write_legacy(cache, digest, corrupt(_entry_json(digest, prompt)))
     assert cache.get(digest, prompt, PARAMS) is None
     assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 1)
     assert path.with_suffix(".json.corrupt").exists()
@@ -228,10 +335,7 @@ def test_tampered_entry_fails_digest_check(tmp_path):
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
     cache.put(digest, prompt, PARAMS, ANSWER)
-    path = _entry_path(cache, digest)
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    obj["final_text"] = "tampered"
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    _edit_entry(cache, digest, _set("final_text", "tampered"))
     assert cache.get(digest, prompt, PARAMS) is None
     assert cache.corruptions == 1
 
@@ -247,10 +351,10 @@ def test_entry_for_another_request_is_not_a_hit(tmp_path):
 
 
 def test_cache_entry_removed_mid_read_is_a_miss(tmp_path, monkeypatch):
-    # a concurrent gc or quarantine can unlink the entry while get reads it
+    # a concurrent gc or quarantine can unlink a legacy entry while get reads it
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
-    cache.put(digest, prompt, PARAMS, ANSWER)
+    _write_legacy(cache, digest, _entry_json(digest, prompt))
 
     def open_after_unlink(path, *args, **kwargs):
         os.unlink(path)
@@ -261,10 +365,39 @@ def test_cache_entry_removed_mid_read_is_a_miss(tmp_path, monkeypatch):
     assert (cache.hits, cache.misses, cache.corruptions) == (0, 1, 0)
 
 
+def test_cache_log_removed_after_indexing_still_reads(tmp_path):
+    # a gc replaces a log, or a user removes it: a cache that indexed it keeps
+    # reading what it indexed, and one that did not finds a miss; neither is a
+    # corruption
+    cache = FileCache(tmp_path / "cache")
+    (a, a_prompt), (b, b_prompt) = _entries_starting("0", 2)
+    cache.put(a, a_prompt, PARAMS, ANSWER)
+    cache.put(b, b_prompt, PARAMS, ANSWER)
+    assert cache.get(a, a_prompt, PARAMS) == ANSWER
+    _log_path(cache, a).unlink()
+    assert cache.get(b, b_prompt, PARAMS) == ANSWER
+    fresh = FileCache(cache.cache_dir)
+    assert fresh.get(b, b_prompt, PARAMS) is None
+    assert (cache.hits, cache.corruptions, fresh.misses, fresh.corruptions) == (2, 0, 1, 0)
+
+
 def test_cache_get_other_os_errors_raise(tmp_path, monkeypatch):
     cache = FileCache(tmp_path / "cache")
     digest, prompt = _entry()
     cache.put(digest, prompt, PARAMS, ANSWER)
+
+    def denied(*args, **kwargs):
+        raise PermissionError("pread")
+
+    monkeypatch.setattr(os, "pread", denied)
+    with pytest.raises(PermissionError):
+        cache.get(digest, prompt, PARAMS)
+
+
+def test_cache_get_other_os_errors_on_a_legacy_entry_raise(tmp_path, monkeypatch):
+    cache = FileCache(tmp_path / "cache")
+    digest, prompt = _entry()
+    _write_legacy(cache, digest, _entry_json(digest, prompt))
 
     def denied(path, *args, **kwargs):
         raise PermissionError(str(path))
@@ -274,19 +407,196 @@ def test_cache_get_other_os_errors_raise(tmp_path, monkeypatch):
         cache.get(digest, prompt, PARAMS)
 
 
-def test_cache_gc_by_age(tmp_path):
-    import os
+def test_cache_log_cut_mid_line_is_a_miss_not_a_corruption(tmp_path):
+    # a writer killed mid-line leaves a torn tail; the next writer ends it
+    # first, so the torn line swallows no entry
+    cache = FileCache(tmp_path / "cache")
+    (a, a_prompt), (b, b_prompt) = _entries_starting("0", 2)
+    cache.put(a, a_prompt, PARAMS, ANSWER)
+    cache.put(b, b_prompt, PARAMS, ANSWER)
+    log = _log_path(cache, a)
+    data = log.read_bytes()
+    log.write_bytes(data[: len(data) - 40])
+    cache.close()
+    reader = FileCache(cache.cache_dir)
+    assert reader.get(b, b_prompt, PARAMS) is None
+    assert reader.get(a, a_prompt, PARAMS) == ANSWER
+    assert (reader.hits, reader.misses, reader.corruptions) == (1, 1, 0)
+    writer = FileCache(cache.cache_dir)
+    writer.put(b, b_prompt, PARAMS, "again")
+    assert reader.get(b, b_prompt, PARAMS) == "again"
+    assert FileCache(cache.cache_dir).get(b, b_prompt, PARAMS) == "again"
+    assert FileCache(cache.cache_dir).get(a, a_prompt, PARAMS) == ANSWER
+    assert reader.corruptions == 0
 
+
+def test_cache_unterminated_tail_is_not_indexed(tmp_path):
+    # a line without its newline is a write still in progress
+    cache = FileCache(tmp_path / "cache")
+    digest, prompt = _entry()
+    log = _log_path(cache, digest)
+    log.parent.mkdir()
+    log.write_bytes(digest.encode("ascii") + b" " + _entry_json(digest, prompt))
+    assert cache.get(digest, prompt, PARAMS) is None
+    assert (cache.misses, cache.corruptions) == (1, 0)
+    with open(log, "ab") as fh:
+        fh.write(b"\n")
+    assert cache.get(digest, prompt, PARAMS) == ANSWER
+    assert cache.corruptions == 0
+
+
+_PUTTER = """
+import sys, time
+from pathlib import Path
+from kpe.backend import FileCache, GenParams, request_digest
+from kpe.prompting import RenderedPrompt
+
+cache_dir, who, go = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+params = GenParams(model_id="model-x", temperature=0.0, max_tokens=256)
+cache = FileCache(cache_dir)
+deadline = time.monotonic() + 30
+while not go.exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+for i in range(200):
+    prompt = RenderedPrompt(template_id="gemba_classify", version=1,
+                            final_text=f"{who}-{i} " + "x" * (i * 37 % 3000), bindings={})
+    cache.put(request_digest(prompt, params), prompt, params, f"echo {who}-{i}")
+"""
+
+
+def test_cache_two_processes_appending_at_once_lose_no_entry(tmp_path):
+    src = str(Path(kpe.backend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cache_dir, go = tmp_path / "cache", tmp_path / "go"
+    putters = [subprocess.Popen([sys.executable, "-c", _PUTTER, str(cache_dir), who, str(go)],
+                                env=env) for who in ("a", "b")]
+    try:
+        time.sleep(0.3)  # both interpreters start before either writes
+        go.touch()
+        assert [p.wait(timeout=60) for p in putters] == [0, 0]
+    finally:
+        for p in putters:
+            p.kill()
+            p.wait()
+    reader = FileCache(cache_dir)
+    for who in ("a", "b"):
+        for i in range(200):
+            prompt = _prompt(f"{who}-{i} " + "x" * (i * 37 % 3000))
+            assert reader.get(request_digest(prompt, PARAMS), prompt, PARAMS) == f"echo {who}-{i}"
+    assert (reader.hits, reader.misses, reader.corruptions) == (400, 0, 0)
+    assert len(_log_lines(cache_dir)) == 400
+
+
+def test_cache_close_releases_its_descriptors(tmp_path):
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    gc.collect()  # earlier tests' caches close their logs now, not during the count
+    before = len(list(fd_dir.iterdir()))
+    cache = FileCache(tmp_path / "cache")
+    entries = [_entry(f"q{i}") for i in range(20)]
+    for digest, prompt in entries:
+        cache.put(digest, prompt, PARAMS, ANSWER)
+        assert cache.get(digest, prompt, PARAMS) == ANSWER
+    assert len(list(fd_dir.iterdir())) > before
+    cache.close()
+    assert len(list(fd_dir.iterdir())) == before
+    # a closed cache opens its logs again; a collected one closes them itself
+    assert all(cache.get(d, p, PARAMS) == ANSWER for d, p in entries)
+    del cache
+    assert len(list(fd_dir.iterdir())) == before
+
+
+def test_cache_gc_by_age(tmp_path, monkeypatch):
+    cache = FileCache(tmp_path / "cache")
+    entries = [_entry(f"q{i}") for i in range(40)]
+    for i, (digest, prompt) in enumerate(entries):
+        monkeypatch.setattr(time, "time", lambda: 1000.0 if i % 2 else 1e9)
+        cache.put(digest, prompt, PARAMS, ANSWER)
+    # lines that no read would serve go too: one that is no entry, two whose
+    # stored request or answer fails the check, and a torn tail
+    digest, prompt = entries[0]
+    key, stored = digest.encode("ascii"), _entry_json(digest, prompt, created_at=1e9)
+    with open(_log_path(cache, digest), "ab") as fh:
+        fh.write(b"not an entry\n")
+        for edit in (_set("final_text", "tampered"), _set("completion_text", 5)):
+            fh.write(key + b" " + edit(stored) + b"\n")
+        fh.write(key + b' {"created_')
+    monkeypatch.undo()
+    removed = cache.gc(max_age_s=3600, now=1e9 + 10)
+    assert removed == 20 + 4
+    fresh = FileCache(cache.cache_dir)
+    assert [fresh.get(d, p, PARAMS) for d, p in entries] == [
+        None if i % 2 else ANSWER for i in range(len(entries))
+    ]
+    assert fresh.corruptions == 0
+    assert len(_log_lines(cache.cache_dir)) == 20
+    assert sorted(p.suffix for p in cache.cache_dir.iterdir()) == [".log"] * len(
+        {d[0] for d, _ in entries}
+    )
+    assert cache.gc(max_age_s=3600, now=1e9 + 10) == 0
+
+
+def test_cache_gc_clears_the_lines_a_corruption_storm_left(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    provider = CountingProvider()
+    prompts = [_prompt(f"q{i}") for i in range(4)]
+    run_batch(provider, cache, prompts, PARAMS)
+    for prompt in prompts[:3]:
+        _edit_entry(cache, request_digest(prompt, PARAMS), _set("request_digest", "0" * 64))
+    for _ in range(2):  # the corrupt lines stay in their logs, so a rerun stops again
+        with pytest.raises(CacheCorruptionError):
+            run_batch(provider, FileCache(cache.cache_dir), prompts, PARAMS)
+    assert FileCache(cache.cache_dir).gc(max_age_s=3600) == 3
+    rerun = FileCache(cache.cache_dir)
+    results = run_batch(provider, rerun, prompts, PARAMS)
+    assert [r.text for r in results] == [f"echo q{i}" for i in range(4)]
+    assert (provider.calls, rerun.hits, rerun.corruptions) == (4 + 3, 1, 0)
+
+
+def test_cache_gc_ages_legacy_files_by_mtime(tmp_path):
     cache = FileCache(tmp_path / "cache")
     (fresh, fresh_prompt), (aged, aged_prompt) = _entry("fresh"), _entry("aged")
-    cache.put(fresh, fresh_prompt, PARAMS, ANSWER)
-    cache.put(aged, aged_prompt, PARAMS, ANSWER)
-    aged_path = _entry_path(cache, aged)
+    _write_legacy(cache, fresh, _entry_json(fresh, fresh_prompt))
+    aged_path = _write_legacy(cache, aged, _entry_json(aged, aged_prompt))
     os.utime(aged_path, (1000, 1000))
     removed = cache.gc(max_age_s=3600, now=time.time())
     assert removed == 1
     assert cache.get(fresh, fresh_prompt, PARAMS) is not None
     assert not aged_path.exists()
+
+
+def test_cache_gc_during_a_warm_batch_gives_hits_or_misses(tmp_path, monkeypatch):
+    # gc replaces half the logs after this cache indexed them and before it
+    # reads the rest: every lookup is a hit or a miss, never a corruption
+    entries = [_entry(f"q{i}") for i in range(64)]
+    filler = FileCache(tmp_path / "cache")
+    for i, (digest, prompt) in enumerate(entries):
+        monkeypatch.setattr(time, "time", lambda: 1000.0 if i % 2 else 1e9)
+        filler.put(digest, prompt, PARAMS, f"echo {prompt.final_text}")
+    monkeypatch.undo()
+    filler.close()
+    by_log = sorted(entries, key=lambda entry: entry[0][0])
+    collected = []
+
+    class CollectingCache(FileCache):
+        def get(self, digest, prompt, params):
+            if digest[0] == "8" and not collected:
+                collected.append(FileCache(self.cache_dir).gc(max_age_s=3600, now=1e9 + 10))
+            return super().get(digest, prompt, params)
+
+    cache, provider = CollectingCache(tmp_path / "cache"), CountingProvider()
+    prompts = [prompt for _, prompt in by_log]
+    results = run_batch(provider, cache, prompts, PARAMS, max_in_flight=2)
+    assert collected == [32]
+    assert [r.text for r in results] == [f"echo {p.final_text}" for p in prompts]
+    assert cache.corruptions == 0
+    before = [i for i, (digest, _) in enumerate(by_log) if digest[0] < "8"]
+    aged_after = [i for i, (digest, p) in enumerate(by_log)
+                  if digest[0] >= "8" and int(p.final_text[1:]) % 2]
+    assert all(results[i].from_cache for i in before)
+    assert sorted(provider.seen) == sorted(by_log[i][1].final_text for i in aged_after)
+    assert (cache.hits, cache.misses) == (64 - len(aged_after), len(aged_after))
 
 
 # http provider ----------------------------------------------------------
@@ -398,7 +708,8 @@ def test_http_truncated_answer_is_a_provider_error_not_retried(tmp_path):
     assert isinstance(outcome, CompletionFailure)
     assert type(outcome.exception) is ProviderError
     assert "cut off" in str(outcome.exception)
-    assert list(cache.cache_dir.glob("*/*.json")) == []
+    assert _log_lines(cache.cache_dir) == []
+    assert not cache.cache_dir.exists()
     provider, _, _ = _provider([answer("stop")])
     assert provider.complete(_prompt("x"), PARAMS) == "Class: Perf"
 
@@ -641,7 +952,7 @@ def test_run_batch_interrupt_cancels_pending_prompts_and_a_rerun_sends_the_rest(
         run_batch(provider, FileCache(tmp_path / "cache"), prompts, PARAMS, max_in_flight=2)
     # pending prompts are cancelled; only the two workers' next calls may still start
     assert 15 <= provider.calls <= 15 + 2
-    written = len(list((tmp_path / "cache").glob("*/*.json")))
+    written = len(_log_lines(tmp_path / "cache"))
     assert written == provider.calls - 1  # every answered call, none of the interrupted one
     rerun, cache = CountingProvider(), FileCache(tmp_path / "cache")
     results = run_batch(rerun, cache, prompts, PARAMS, max_in_flight=2)
@@ -753,26 +1064,40 @@ def test_run_batch_without_cache():
     assert [r.text for r in results] == ["echo a", "echo a", "echo b"]
 
 
+def _corrupt(cache, prompt):
+    """Append a garbled line for the prompt's digest; as the last line, it wins."""
+    digest = request_digest(prompt, PARAMS)
+    cache.cache_dir.mkdir(parents=True, exist_ok=True)
+    with open(_log_path(cache, digest), "ab") as fh:
+        fh.write(digest.encode("ascii") + b" garbage\n")
+
+
+def _corrupt_legacy(cache, prompt):
+    return _write_legacy(cache, request_digest(prompt, PARAMS), b"garbage")
+
+
 def test_run_batch_corruption_storm_aborts(tmp_path):
     cache = FileCache(tmp_path / "cache")
     provider = CountingProvider()
     prompts = [_prompt(f"q{i}") for i in range(4)]
+    run_batch(provider, cache, prompts, PARAMS)
     for prompt in prompts[:3]:
-        digest = request_digest(prompt, PARAMS)
-        path = cache.cache_dir / digest[:2] / f"{digest}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("garbage", encoding="utf-8")
+        _edit_entry(cache, request_digest(prompt, PARAMS), lambda raw: b"garbage")
     with pytest.raises(CacheCorruptionError):
         run_batch(provider, cache, prompts, PARAMS, max_in_flight=1)
     assert cache.corruptions >= 3
+    assert provider.calls == 4  # the filling batch's, none after the storm
 
 
-def _corrupt(cache, prompt):
-    digest = request_digest(prompt, PARAMS)
-    path = cache.cache_dir / digest[:2] / f"{digest}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("garbage", encoding="utf-8")
-    return path
+def test_run_batch_corruption_storm_aborts_on_legacy_entries(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    provider = CountingProvider()
+    prompts = [_prompt(f"q{i}") for i in range(4)]
+    for prompt in prompts[:3]:
+        _corrupt_legacy(cache, prompt)
+    with pytest.raises(CacheCorruptionError):
+        run_batch(provider, cache, prompts, PARAMS, max_in_flight=1)
+    assert cache.corruptions >= 3
 
 
 def test_run_batch_storm_checked_before_any_provider_call(tmp_path):
@@ -789,7 +1114,24 @@ def test_run_batch_storm_checked_before_any_provider_call(tmp_path):
 def test_run_batch_small_batch_corruption_is_a_miss(tmp_path):
     cache = FileCache(tmp_path / "cache")
     provider = CountingProvider()
-    path = _corrupt(cache, _prompt("q"))
+    _corrupt(cache, _prompt("q"))
+    (result,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
+    assert result.text == "echo q"
+    assert result.from_cache is False
+    assert provider.calls == 1
+    assert cache.corruptions == 1
+    # the answer asked again is the log's last line
+    key, entry = _log_lines(cache.cache_dir)[-1].split(b" ", 1)
+    assert key == result.request_digest.encode("ascii")
+    assert json.loads(entry)["completion_text"] == "echo q"
+    assert cache.get(result.request_digest, _prompt("q"), PARAMS) == "echo q"
+    assert FileCache(cache.cache_dir).get(result.request_digest, _prompt("q"), PARAMS) == "echo q"
+
+
+def test_run_batch_small_batch_corrupt_legacy_entry_is_a_miss(tmp_path):
+    cache = FileCache(tmp_path / "cache")
+    provider = CountingProvider()
+    path = _corrupt_legacy(cache, _prompt("q"))
     (result,) = run_batch(provider, cache, [_prompt("q")], PARAMS)
     assert result.text == "echo q"
     assert result.from_cache is False

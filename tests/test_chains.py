@@ -114,10 +114,9 @@ def test_one_step_trace(identical_pair, tmp_path):
     assert step.parsed_class == "Perfect translation"
     # the raw answer is the cache entry that the step's digest names
     assert step.digest == _digest("gemba_classify", **PAIR_TEXTS)
-    entry = cache.cache_dir / step.digest[:2] / f"{step.digest}.json"
-    assert json.loads(entry.read_text(encoding="utf-8"))["completion_text"] == (
-        "Class: Perfect translation"
-    )
+    key, entry = (cache.cache_dir / f"{step.digest[0]}.log").read_bytes().split(b" ", 1)
+    assert key == step.digest.encode("ascii")
+    assert json.loads(entry)["completion_text"] == "Class: Perfect translation"
 
 
 def test_perplexity_binds_translation_only(identical_pair):
@@ -159,19 +158,24 @@ def test_step_digests_rederivable(identical_pair):
 
 
 def test_one_pair_corrupt_cache_entry_is_asked_again(identical_pair, tmp_path):
-    # one corrupt file in a one-item batch is not a corruption storm
+    # one corrupt entry in a one-item batch is not a corruption storm
     dataset, provider = identical_pair
     cache = FileCache(tmp_path / "cache")
     kind = EstimatorKind(name="gemba")
     first = _score_one(kind, dataset, provider, cache)
     assert first.ordinal == 4
-    (path,) = cache.cache_dir.glob("*/*.json")
-    path.write_text("garbage", encoding="utf-8")
+    (path,) = cache.cache_dir.glob("*.log")
+    digest = path.read_bytes()[:64]
+    path.write_bytes(digest + b" garbage\n")
     calls = provider.calls
     score = _score_one(kind, dataset, provider, cache)
     assert score.ordinal == 4
     assert provider.calls == calls + 1
-    assert path.with_suffix(".json.corrupt").exists()
+    assert cache.corruptions == 1
+    # the answer asked again is appended after the corrupt line
+    garbage, again, end = path.read_bytes().split(b"\n")
+    assert (garbage, again[:65], end) == (digest + b" garbage", digest + b" ", b"")
+    assert json.loads(again[65:])["completion_text"] == "Class: Perfect translation"
 
 
 def test_empty_mt_rejected():

@@ -58,6 +58,26 @@ def write_tiny_corpus(root: Path, *, refs_for: tuple[str, ...] = ("s1", "s2")) -
     }
 
 
+def log_lines(cache_dir: Path) -> list[bytes]:
+    """Every complete line of every cache log in cache_dir, without its newline."""
+    return [line for log in sorted(cache_dir.glob("*.log"))
+            for line in log.read_bytes().split(b"\n")[:-1]]
+
+
+def to_legacy_layout(cache_dir: Path) -> list[Path]:
+    """Rewrite a cache as the one-file-per-entry layout that the logs replaced."""
+    paths = []
+    for log in sorted(cache_dir.glob("*.log")):
+        for line in log.read_bytes().split(b"\n")[:-1]:
+            digest = line[:64].decode("ascii")
+            path = cache_dir / digest[:2] / f"{digest}.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(line[65:])
+            paths.append(path)
+        log.unlink()
+    return sorted(paths)
+
+
 def write_config(root: Path, cfg: dict) -> str:
     path = root / "config.json"
     path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
@@ -538,7 +558,7 @@ def test_score_rerun_after_an_interrupt_matches_an_uninterrupted_run(tmp_path, m
     monkeypatch.setattr(MockProvider, "complete", interrupted)
     assert score("resumed").exit_code == 1  # click reports "Aborted!"
     assert list((tmp_path / "resumed").glob("scores_*.jsonl")) == []
-    written = len(list((tmp_path / "cache_resumed").glob("*/*.json")))
+    written = len(log_lines(tmp_path / "cache_resumed"))
     assert written >= 14
     monkeypatch.undo()
     assert score("resumed").exit_code == 0
@@ -566,15 +586,77 @@ def test_score_rerun_asks_again_for_a_corrupt_entry(tmp_path, corrupt):
     runner = CliRunner()
     assert runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"]).exit_code == 0
     first = (tmp_path / "out" / "scores_gemba.jsonl").read_bytes()
-    entry = sorted((tmp_path / "cache").glob("*/*.json"))[0]
-    entry.write_bytes(corrupt(entry.read_bytes()))
+    log = sorted((tmp_path / "cache").glob("*.log"))[0]
+    line, *rest = log.read_bytes().split(b"\n")
+    log.write_bytes(b"\n".join([line[:65] + corrupt(line[65:]), *rest]))
     result = runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"])
     assert result.exit_code == 0, result.stderr
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["cache"]["corruptions"] == 1
     assert summary["provider_calls"] == 1
-    assert entry.with_suffix(".json.corrupt").exists()
+    # the answer asked again is the log's last line, equal to the one first written
+    again = log.read_bytes().split(b"\n")[-2]
+    assert again[:65] == line[:65]
+    assert json.loads(again[65:])["completion_text"] == json.loads(line[65:])["completion_text"]
     assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
+
+
+@pytest.mark.parametrize("corrupt", [lambda raw: raw + b"\xff", _answer_not_text],
+                         ids=["bad-utf8", "answer-not-text"])
+def test_score_rerun_asks_again_for_a_corrupt_legacy_entry(tmp_path, corrupt):
+    cfg = write_tiny_corpus(tmp_path)
+    cfg["cache_dir"] = str(tmp_path / "cache")
+    path = write_config(tmp_path, cfg)
+    runner = CliRunner()
+    assert runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"]).exit_code == 0
+    first = (tmp_path / "out" / "scores_gemba.jsonl").read_bytes()
+    entry = to_legacy_layout(tmp_path / "cache")[0]
+    entry.write_bytes(corrupt(entry.read_bytes()))
+    result = runner.invoke(main, ["score", "--config", path, "--estimators", "gemba"])
+    assert result.exit_code == 0, result.stderr
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["cache"] == {"hits": 3, "misses": 1, "writes": 1, "corruptions": 1}
+    assert summary["provider_calls"] == 1
+    assert entry.with_suffix(".json.corrupt").exists()
+    assert len(log_lines(tmp_path / "cache")) == 1
+    assert (tmp_path / "out" / "scores_gemba.jsonl").read_bytes() == first
+
+
+def test_score_rerun_over_a_legacy_cache_makes_no_provider_call(tmp_path):
+    # a cache written one file per entry keeps serving hits, and is never written
+    cfg = write_tiny_corpus(tmp_path)
+    cfg["cache_dir"] = str(tmp_path / "cache")
+    path = write_config(tmp_path, cfg)
+    runner = CliRunner()
+    assert runner.invoke(main, ["score", "--config", path]).exit_code == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("scores_*.jsonl")}
+    legacy = to_legacy_layout(tmp_path / "cache")
+    assert len(legacy) == 20  # 4 outputs x (3 step prompts + 2 combiners)
+    snapshot = {p: p.read_bytes() for p in legacy}
+    assert runner.invoke(main, ["score", "--config", path]).exit_code == 0
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["provider_calls"] == 0
+    assert summary["cache"] == {"hits": 20, "misses": 0, "writes": 0, "corruptions": 0}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").glob("scores_*.jsonl")} == first
+    assert sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file()) == legacy
+    assert {p: p.read_bytes() for p in legacy} == snapshot
+
+
+def test_score_cold_run_creates_at_most_16_files(tmp_path):
+    write_toy_corpus(tmp_path)
+    cache = tmp_path / "cache"
+    result = CliRunner().invoke(main, [
+        "score", "--segments", str(tmp_path / "segments.tsv"),
+        "--outputs", str(tmp_path / "outputs.tsv"), "--provider", "mock",
+        "--mock-fixtures", str(tmp_path / "fixtures.json"), "--out", str(tmp_path / "out"),
+        "--cache-dir", str(cache),
+    ])
+    assert result.exit_code == 0, result.stderr
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["provider_calls"] == summary["cache"]["writes"] == 1200
+    assert sorted(p.name for p in cache.iterdir()) == [f"{h}.log" for h in "0123456789abcdef"]
+    assert all(p.is_file() for p in cache.iterdir())
+    assert len(log_lines(cache)) == 1200
 
 
 @pytest.mark.parametrize("fixtures", [
@@ -924,6 +1006,7 @@ def test_cache_gc_reports_removals(tmp_path):
     )
     assert stale.exit_code == 0
     assert "removed 4 entries" in stale.output
+    assert log_lines(Path(cfg["cache_dir"])) == []
 
 
 def test_cache_gc_removes_orphaned_temp_files(tmp_path):
