@@ -836,6 +836,17 @@ class _Slots:
             self._cond.notify_all()
 
 
+def _answer_text(answer) -> str:
+    """The provider's answer, if it is text that encodes as UTF-8; else a ProviderError."""
+    if not isinstance(answer, str):
+        raise ProviderError(f"provider answer is {type(answer).__name__}, not text")
+    try:
+        answer.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can carry
+        raise ProviderError(f"provider answer is not UTF-8 text: {exc}") from exc
+    return answer
+
+
 def run_batch(
     provider,
     cache: FileCache | None,
@@ -859,10 +870,12 @@ def run_batch(
     max_in_flight requests are in flight while writes run in parallel
     with them.
 
-    Item failures are captured per slot as CompletionFailure. The only
-    batch-level failure is a cache corruption storm: in a batch of at least
-    STORM_MIN_BATCH items, more than half the items hitting corrupt entries
-    raises CacheCorruptionError. It is checked after all lookups and before
+    Item failures are captured per slot as CompletionFailure; an answer
+    that is not a str, or does not encode as UTF-8, is its item's
+    ProviderError and is not cached. The only batch-level failure is a
+    cache corruption storm: in a batch of at least STORM_MIN_BATCH items,
+    more than half the items hitting corrupt entries raises
+    CacheCorruptionError. It is checked after all lookups and before
     any provider call. Smaller batches quarantine corrupt entries and treat
     them as misses. Anything else a worker raises (a failed cache write, an
     interrupt) ends the batch: no worker sends a request after it, and the
@@ -928,7 +941,7 @@ def run_batch(
             prompt = prompts[members[0]]
             started = time.monotonic()
             try:
-                text = provider.complete(prompt, params)
+                text = _answer_text(provider.complete(prompt, params))
                 latency_ms = int((time.monotonic() - started) * 1000)
             except KpeError as exc:
                 settle(members, CompletionFailure(digest, exc))

@@ -1,9 +1,9 @@
 """Quality estimators: one-step prompts and two chain-of-thought composites.
 
 prompting.ESTIMATORS states each one's templates, steps, combiner
-placeholder and mock aspect. score_estimators is the one way
-to score; a single pair is scored as a one-output EvalDataset. All
-requested estimators are scored by one plan in two stages: every step
+placeholder and mock aspect. score_estimators is the one way to score,
+and it holds the plan; a single pair is scored as a one-output
+EvalDataset. All requested estimators are scored in two stages: every step
 prompt any estimator needs completes (one run_batch call) before any
 combiner prompt is sent (a second call), so a prompt that several
 estimators share is sent and parsed once. run_batch reads a stage's
@@ -17,19 +17,22 @@ step_failure policy ("abort_pair" or "substitute_middle", which binds the
 step schema's middle class and flags the step record). A pair whose
 earlier step failed records no later steps. A parsed answer's
 StepRecord is built once and shared by every estimator that asked its
-prompt; a failed answer gets a record per estimator.
+prompt; a failed answer gets a record per estimator. An error note reads
+"stage: ErrorType: message", and error_type reads the type back.
 
-A score file holds one JSON object per QualityScore, with the fields and
-JSON types that _FIELDS lists for it and for each of its steps; each key
-is the name of the record's own attribute. write_jsonl's writer is made
-from that table once, and load_score_file reads it for every line.
+A score file holds one JSON object per QualityScore. Its keys are the
+fields of QualityScore, and of StepRecord for each step, less those
+marked memory_only, and each field's annotation is its JSON type.
+_FIELDS is derived from the two classes once; write_jsonl's writer is
+made from it, and load_score_file reads it for every line.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 # perfbench/tracing.py wraps run_batch, render_template and parse_categorical as
 # attributes of this module, so the plan must look them up here.
@@ -40,7 +43,7 @@ from .backend import (
     GenParams,
     run_batch,
 )
-from .corpus import EvalDataset, SystemOutput
+from .corpus import EvalDataset
 from .errors import FormatError, InputError, KpeError, ParseError
 from .parsing import parse_categorical, parse_scalar, parse_stars
 from .prompting import (
@@ -100,16 +103,16 @@ class StepRecord:
     """One prompt round for one (system, segment) pair.
 
     digest names the cache entry whose final_text re-derives it and whose
-    completion_text is the answer. A score file keeps the fields _FIELDS
-    lists; parsed_class and error are kept in memory only.
+    completion_text is the answer. parsed_class and error are kept in
+    memory only, not in a score file.
     """
 
     template_id: str
     version: int
     digest: str
     parsed: int | float | None = None
-    parsed_class: str | None = None
-    error: str | None = None
+    parsed_class: str | None = field(default=None, metadata={"memory_only": True})
+    error: str | None = field(default=None, metadata={"memory_only": True})
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,26 +127,22 @@ class QualityScore:
     steps: tuple[StepRecord, ...]
 
 
-# The JSON fields of each persisted record, with their types; a field typed
-# with a record class holds a list of those records.
-_FIELDS: dict[type, dict[str, type | tuple[type, ...]]] = {
-    QualityScore: {
-        "lp": str,
-        "system_id": str,
-        "seg_id": str,
-        "estimator": str,
-        "mode": str,
-        "ordinal": (int, float, type(None)),
-        "error": (str, type(None)),
-        "steps": StepRecord,
-    },
-    StepRecord: {
-        "template_id": str,
-        "version": int,
-        "digest": str,
-        "parsed": (int, float, type(None)),
-    },
-}
+def _persisted(cls: type) -> dict[str, type | tuple[type, ...]]:
+    """cls's persisted fields in order, each with its JSON type or types.
+
+    A union field takes the tuple of its types; a tuple-of-records field
+    takes the record class, and the score file holds a list of them.
+    """
+    hints = get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        if not f.metadata.get("memory_only"):
+            hint, args = hints[f.name], get_args(hints[f.name])
+            table[f.name] = args[0] if get_origin(hint) is tuple else args or hint
+    return table
+
+
+_FIELDS = {cls: _persisted(cls) for cls in (QualityScore, StepRecord)}
 
 
 def _writer(cls: type):
@@ -233,10 +232,11 @@ def load_score_file(path: str | Path) -> ScoreTable:
     or a finite scalar in range), and each step naming a built-in template
     and holding no answer or one that template's parser returns. The steps
     name the estimator's step templates in its mode and then, for a chain,
-    its combiner: all of them when scored, a prefix when failed. Any other
-    line is a FormatError naming the path and line. The first line names
-    the file's estimator and mode; a later line that names others is an
-    InputError.
+    its combiner: all of them when scored, a prefix when failed. The
+    ordinal is the last step's answer (none without steps), so a failed
+    record's last step holds none. Any other line is a FormatError naming
+    the path and line. The first line names the file's estimator and mode; a later line
+    that names others is an InputError.
     """
     scores: dict[tuple[str, str, str], QualityScore] = {}
     estimator: EstimatorKind | None = None
@@ -274,6 +274,9 @@ def load_score_file(path: str | Path) -> ScoreTable:
             if step_ids != (run_steps if score.ordinal is not None else run_steps[:len(step_ids)]):
                 raise FormatError(str(path), line_no, f"steps {step_ids} are not what a "
                                   f"{score.mode} {score.estimator} run writes: {run_steps}")
+            if score.ordinal != (score.steps[-1].parsed if score.steps else None):
+                raise FormatError(str(path), line_no, f"ordinal {score.ordinal!r} is not the "
+                                  f"answer its steps end in: {[s.parsed for s in score.steps]}")
             scores[(score.lp, score.system_id, score.seg_id)] = score
     if estimator is None:
         raise InputError(f"{path}: empty score file")
@@ -323,6 +326,15 @@ class _Answer:
         )
 
 
+def _error_note(stage: str, exc: Exception) -> str:
+    return f"{stage}: {type(exc).__name__}: {exc}"
+
+
+def error_type(note: str) -> str:
+    """The name of the error type that an error note records (no stage holds ": ")."""
+    return note.split(": ", 2)[1]
+
+
 @dataclass(slots=True)
 class _PairState:
     """One estimator's progress on one (system, segment) pair.
@@ -336,7 +348,7 @@ class _PairState:
     ordinal: int | float | None = None
 
     def fail(self, stage: str, exc: Exception) -> str:
-        self.error = f"{stage}: {type(exc).__name__}: {exc}"
+        self.error = _error_note(stage, exc)
         return self.error
 
     def take(self, answer: _Answer, stage: str, *, final: bool, step_failure: str) -> None:
@@ -351,8 +363,7 @@ class _PairState:
         elif final or step_failure == "abort_pair":
             self.steps.append(answer.new_record(error=self.fail(stage, answer.parse_error)))
         else:
-            exc = answer.parse_error
-            note = f"{stage}: {type(exc).__name__}: {exc} (substituted middle class)"
+            note = _error_note(stage, answer.parse_error) + " (substituted middle class)"
             self.steps.append(answer.new_record(
                 parsed_class=answer.template.schema.middle_class, error=note))
 
@@ -385,20 +396,27 @@ def _ask(batch, provider, cache, params, max_in_flight) -> list[_Answer]:
     return [_Answer(item[0], outcome) for item, outcome in zip(batch, outcomes)]
 
 
-def _run_plan(
+def score_estimators(
     kinds: list[EstimatorKind],
     dataset: EvalDataset,
-    outputs: list[SystemOutput],
     provider,
     cache: FileCache | None,
     *,
     params: GenParams,
     max_in_flight: int = 4,
     step_failure: str = "abort_pair",
-) -> dict[str, list[_PairState]]:
-    """Score outputs with every estimator in two batches; states per estimator name."""
+) -> dict[str, ScoreTable]:
+    """Score every system output with every estimator; one table per estimator name.
+
+    All step prompts go out in one batch and all combiner prompts in a
+    second, so a prompt that several estimators share is sent and parsed once.
+    """
+    kinds = list(dict.fromkeys(kinds))
+    if len({kind.name for kind in kinds}) != len(kinds):
+        raise InputError("each estimator may be requested in one scoring mode only")
     if step_failure not in STEP_FAILURES:
         raise InputError(f"unknown step_failure policy {step_failure!r}")
+    outputs = sorted(dataset.outputs)
     sources = [dataset.get_segment(out.lp, out.seg_id).src_text for out in outputs]
     states = {kind.name: [_PairState() for _ in outputs] for kind in kinds}
     live = []
@@ -456,53 +474,15 @@ def _run_plan(
     for (template, state, _, _), answer in zip(pending, combined):
         state.take(answer, f"combine:{template.template_id}", final=True,
                    step_failure=step_failure)
-    return states
-
-
-def _quality_score(kind: EstimatorKind, output: SystemOutput, state: _PairState) -> QualityScore:
-    return QualityScore(
-        lp=output.lp,
-        system_id=output.system_id,
-        seg_id=output.seg_id,
-        estimator=kind.name,
-        mode=kind.scoring_mode,
-        ordinal=state.ordinal,
-        error=state.error,
-        steps=tuple(state.steps),
-    )
-
-
-def score_estimators(
-    kinds: list[EstimatorKind],
-    dataset: EvalDataset,
-    provider,
-    cache: FileCache | None,
-    *,
-    params: GenParams,
-    max_in_flight: int = 4,
-    step_failure: str = "abort_pair",
-) -> dict[str, ScoreTable]:
-    """Score every system output with every estimator; one table per estimator name.
-
-    All step prompts go out in one batch and all combiner prompts in a
-    second, so a prompt that several estimators share is sent and parsed once.
-    """
-    kinds = list(dict.fromkeys(kinds))
-    if len({kind.name for kind in kinds}) != len(kinds):
-        raise InputError("each estimator may be requested in one scoring mode only")
-    outputs = sorted(dataset.outputs)
-    states = _run_plan(
-        kinds, dataset, outputs, provider, cache, params=params,
-        max_in_flight=max_in_flight, step_failure=step_failure,
-    )
     return {
-        kind.name: ScoreTable(
-            estimator=kind,
-            scores={
-                (output.lp, output.system_id, output.seg_id): _quality_score(kind, output, state)
-                for output, state in zip(outputs, states[kind.name])
-            },
-        )
+        kind.name: ScoreTable(estimator=kind, scores={
+            (output.lp, output.system_id, output.seg_id): QualityScore(
+                lp=output.lp, system_id=output.system_id, seg_id=output.seg_id,
+                estimator=kind.name, mode=kind.scoring_mode, ordinal=state.ordinal,
+                error=state.error, steps=tuple(state.steps),
+            )
+            for output, state in zip(outputs, states[kind.name])
+        })
         for kind in kinds
     }
 

@@ -58,6 +58,7 @@ from .chains import (
     SCORING_MODES,
     STEP_FAILURES,
     EstimatorKind,
+    error_type,
     load_score_file,
     score_dataset,  # noqa: F401  unused by kpe; the benchmark's --trace 1 wraps it here
     score_estimators,
@@ -385,8 +386,7 @@ def score(config_path, **flags) -> None:
     _write_json(out_dir / "run_summary.json", summary)
 
     if total and not any(t.n_parsed for t in tables.values()):
-        # a note is "stage: ErrorType: message", and no stage holds ": "
-        kinds = {s.error.split(": ", 2)[1] for t in tables.values() for s in t.scores.values()}
+        kinds = {error_type(s.error) for t in tables.values() for s in t.scores.values()}
         if not _PROVIDER_UNREACHABLE.isdisjoint(kinds):
             _fail("provider unreachable: no pair scored; see score files for details")
     rate = (errored / total) if total else 0.0

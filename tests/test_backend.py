@@ -980,6 +980,35 @@ def test_run_batch_captures_item_failures(tmp_path):
     assert all(isinstance(r, CompletionResult) for i, r in enumerate(results) if i != 2)
 
 
+@pytest.mark.parametrize("with_cache", [True, False], ids=["cache", "no-cache"])
+@pytest.mark.parametrize("answer, message", [
+    (None, "provider answer is NoneType, not text"),
+    ("Class: \ud800", "provider answer is not UTF-8 text"),
+], ids=["none", "lone-surrogate"])
+def test_run_batch_an_answer_that_is_not_utf8_text_fails_its_item(
+    tmp_path, answer, message, with_cache
+):
+    # the provider's answer to q2 is that item's ProviderError: it is not
+    # cached, and the other items complete and are cached as usual
+    class OddProvider(CountingProvider):
+        def complete(self, prompt, params):
+            text = super().complete(prompt, params)
+            return answer if prompt.final_text == "q2" else text
+
+    cache = FileCache(tmp_path / "cache") if with_cache else None
+    prompts = [_prompt(f"q{i}") for i in range(4)]
+    results = run_batch(OddProvider(), cache, prompts, PARAMS)
+    assert isinstance(results[2], CompletionFailure)
+    assert type(results[2].exception) is ProviderError
+    assert message in str(results[2].exception)
+    others = [results[i] for i in (0, 1, 3)]
+    assert [r.text for r in others] == ["echo q0", "echo q1", "echo q3"]
+    if with_cache:
+        assert cache.writes == 3
+        assert sorted(line[:64].decode() for line in _log_lines(cache.cache_dir)) == sorted(
+            r.request_digest for r in others)
+
+
 def test_run_batch_cache_write_failure_stops_the_batch(tmp_path):
     # a failed put is not a per-item failure: it ends the batch, and the
     # misses not yet started are never sent

@@ -634,16 +634,47 @@ def test_score_file_rejects_an_ordinal_no_parser_returns(tmp_path, mode, ordinal
     ("template_id", "kpe_cot1_combine_cat5", "no built-in template"),
     ("parsed", 99, "not a kpe_cot1_combine answer"),
     ("parsed", 2.0, "not a kpe_cot1_combine answer"),
+    ("ordinal", 1, "ordinal 1 is not the answer its steps end in"),
+    ("parsed", None, "ordinal 4 is not the answer its steps end in"),
 ])
 def test_score_file_rejects_a_record_no_run_writes(tmp_path, field, value, message):
-    # a score is either scored or failed, and each step names a built-in
-    # template and holds no answer or one that template's parser returns
+    # a score is either scored or failed, each step names a built-in template
+    # and holds no answer or one that template's parser returns, and the
+    # ordinal is the last step's answer
     scored = EARLIER_SCORE_FILE.splitlines()[0]
     record = json.loads(scored)
     target = record["steps"][2] if field in ("template_id", "parsed") else record
     target[field] = value
     path = tmp_path / "scores_cot1.jsonl"
     path.write_text(f"{scored}\n{json.dumps(record)}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as err:
+        load_score_file(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
+
+
+# Every persisted field, with a value of the wrong JSON type for it; a
+# step field is read from the first step.
+MISTYPED = {
+    "lp": 1, "system_id": None, "seg_id": ["seg00"], "estimator": 1, "mode": {},
+    "ordinal": "4", "error": 0, "steps": {"digest": "aa"},
+    "steps.template_id": 1, "steps.version": "1", "steps.digest": None, "steps.parsed": "3",
+}
+
+
+@pytest.mark.parametrize("edit", ["mistyped", "removed"])
+@pytest.mark.parametrize("name", MISTYPED)
+def test_score_file_rejects_a_mistyped_or_missing_field(tmp_path, name, edit):
+    scored = EARLIER_SCORE_FILE.splitlines()[0]
+    record = json.loads(scored)
+    target = record["steps"][0] if name.startswith("steps.") else record
+    key = name.removeprefix("steps.")
+    if edit == "mistyped":
+        target[key] = MISTYPED[name]
+    else:
+        del target[key]
+    path = tmp_path / "scores_cot1.jsonl"
+    path.write_text(f"{scored}\n{json.dumps(record)}\n", encoding="utf-8")
+    message = "not a score record" if edit == "mistyped" else f"missing field '{key}'"
     with pytest.raises(FormatError, match=message) as err:
         load_score_file(path)
     assert (err.value.path, err.value.line_no) == (str(path), 2)
@@ -661,12 +692,15 @@ def _step(template_id: str, parsed: int) -> dict:
     ("cot2", 4, [_step("kpe_perplexity", 4), _step("kpe_token_sim", 4),
                  _step("kpe_sent_sim", 4)]),
     ("gemba", None, [_step("gemba_classify", 4), _step("gemba_classify", 4)]),
+    ("cot1", None, [_step("kpe_perplexity", 4)]),
 ], ids=["chain-with-another-estimators-step", "scored-chain-without-steps",
         "one-step-with-another-template", "scored-one-step-without-its-step",
-        "scored-chain-without-its-combiner", "failed-with-a-step-too-many"])
+        "scored-chain-without-its-combiner", "failed-with-a-step-too-many",
+        "failed-with-an-answer-in-its-last-step"])
 def test_score_file_rejects_steps_no_run_writes(tmp_path, estimator, ordinal, steps):
     # a record's steps are a prefix of its estimator's step templates in its
-    # mode, then for a chain its combiner; a scored record holds all of them
+    # mode, then for a chain its combiner; a scored record holds all of them,
+    # and a failed one ends in the step that failed, which holds no answer
     error = None if ordinal is not None else "step2:gemba_classify: NoMatchError: no class label"
     record = {"error": error, "estimator": estimator, "lp": "de-en", "mode": "cat5",
               "ordinal": ordinal, "seg_id": "seg00", "steps": steps, "system_id": "sysA"}

@@ -515,6 +515,38 @@ def test_score_exits_1_only_when_the_provider_failed_every_pair(
         assert "provider unreachable" not in result.stderr
 
 
+def test_score_an_http_answer_that_is_not_utf8_is_a_recorded_provider_error(
+    tmp_path, monkeypatch
+):
+    # JSON can carry a lone surrogate, which is a str but no UTF-8 text: each
+    # such answer is its pair's ProviderError, not a crash of the whole run
+    class Session:
+        def post(self, url, body, headers, timeout):
+            prompt = json.loads(body)["messages"][0]["content"]
+            text = "Class: \\ud800" if "zzz" in prompt else "Class: Perfect translation"
+            return 200, b'{"choices": [{"message": {"content": "%s"}}]}' % text.encode()
+
+    build = kpe.cli.HttpProvider
+    monkeypatch.setattr(kpe.cli, "HttpProvider", lambda **kw: build(**kw, session=Session()))
+    cfg = write_tiny_corpus(tmp_path)
+    cfg.update(provider="http", endpoint_url="http://api.example.test/v1", model_id="model-x",
+               cache_dir=str(tmp_path / "cache"))
+    result = CliRunner().invoke(
+        main, ["score", "--config", write_config(tmp_path, cfg), "--estimators", "gemba"]
+    )
+    assert result.exit_code == 2, result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.endswith("\nerror rate 25.0% exceeds threshold 1.0%\n")
+    scores = {(r["system_id"], r["seg_id"]): r for r in map(
+        json.loads, (tmp_path / "out" / "scores_gemba.jsonl").read_text().splitlines())}
+    failed = scores.pop(("sysB", "s1"))
+    assert failed["ordinal"] is None
+    assert failed["error"].startswith("step1:gemba_classify: ProviderError: provider answer is "
+                                      "not UTF-8 text")
+    assert [r["ordinal"] for r in scores.values()] == [4, 4, 4]
+    assert len(log_lines(tmp_path / "cache")) == 3
+
+
 def test_score_rerun_hits_cache(tmp_path):
     cfg = write_tiny_corpus(tmp_path)
     cfg["cache_dir"] = str(tmp_path / "cache")

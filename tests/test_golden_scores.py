@@ -18,9 +18,6 @@ from kpe.cli import main
 from kpe.errors import TransportError
 from kpe.toydata import write_toy_corpus
 
-ALL_SIX = "gemba,prompt1_perplexity,prompt2_token,prompt3_sentence,cot1,cot2"
-
-
 class FaultyProvider:
     """Wraps the mock; one template id gets an unparseable answer or a transport error."""
 
@@ -58,7 +55,8 @@ CAT5 = {
         "89215861fdfb5e8eabe9498fc81c776e6a08a85b416f7a2b57db701cb15fa9b4",
 }
 
-# case -> (mode, step_failure, fault or None, expected exit code, {file: sha256})
+# case -> (mode, step_failure, fault or None, expected exit code, {file: sha256}); a
+# case scores the estimators its files name (stars and scalar have no chains)
 CASES = {
     "cat5": ("cat5", "abort_pair", None, 0, CAT5),
     "cat3": ("cat3", "abort_pair", None, 0, {
@@ -122,6 +120,26 @@ CASES = {
                 "7fa272f42fc16722f710cb89a5115fef864c8d540d44c2bd366564849141277e",
         },
     ),
+    "stars": ("stars", "abort_pair", None, 0, {
+        "scores_gemba.jsonl":
+            "f1a84740aced85e95c88427a43e5eace3b57272d364556da9b2c7cc6bbd7a525",
+        "scores_prompt1_perplexity.jsonl":
+            "ffdf9c621d6f475618b59cac2c279ebddc853202dc79a27409600b3c962654ca",
+        "scores_prompt2_token.jsonl":
+            "08ea3b41e77b513c20584b02f950f6f4668f3775a14df6fb3091825bb48873f8",
+        "scores_prompt3_sentence.jsonl":
+            "7159dbb8c2a921e01dc6dd0e4b9e1eb6043940441b7570b0369e76d53c49e50b",
+    }),
+    "scalar": ("scalar", "abort_pair", None, 0, {
+        "scores_gemba.jsonl":
+            "8b72db66331451043874d5ae9ce99d0c1b3b9a9990261141314aa712de1ab08b",
+        "scores_prompt1_perplexity.jsonl":
+            "59d44c3fb63ac0908a6442ddec9c182e3538556058fb5b3a802dcf024fe5e043",
+        "scores_prompt2_token.jsonl":
+            "c28606b84c58bf37c6fab5d206568a5da49186fe380e50af6c294e94f40cf21c",
+        "scores_prompt3_sentence.jsonl":
+            "968b793e2c8e1925aba69fe906b6dcd2e4b63904859cd2dea7da05f854519597",
+    }),
 }
 
 
@@ -150,7 +168,7 @@ def test_score_files_match_golden_digests(case, toy_dir, tmp_path, monkeypatch):
         "--mock-fixtures", str(toy_dir / "fixtures.json"),
         "--out", str(tmp_path / "out"),
         "--cache-dir", str(tmp_path / "cache"),
-        "--estimators", ALL_SIX,
+        "--estimators", ",".join(name[len("scores_"):-len(".jsonl")] for name in expected),
         "--mode", mode,
         "--step-failure", step_failure,
     ])
